@@ -4,13 +4,17 @@ Elements are sparse maps from group elements to Fraction coefficients.
 The module provides the trivial and sign idempotents of parabolic
 subgroups, the two-sided averaging projectors built from them, and exact
 row reduction for computing dimensions of the resulting subspaces.  All
-arithmetic is rational; nothing here rounds.
+arithmetic is rational; nothing here rounds.  The two hot kernels, the
+convolution product and the row reducer, work on integer numerators over
+a common denominator, so Fraction appears only where coefficients enter
+and leave them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InvalidSubset, MixedGroups
 from .parabolic import double_cosets, parabolic_elements
@@ -23,8 +27,10 @@ class AlgebraElement:
     """Sparse rational linear combination of Weyl group elements.
 
     Coefficients are keyed internally by enumeration index; zero
-    coefficients are never stored.  Instances are immutable: all operations
-    return new elements.
+    coefficients are never stored.  Keys may be elements of the same group
+    or enumeration indices in range(group.order); anything else raises
+    ValueError.  Instances are immutable: all operations return new
+    elements.
     """
 
     __slots__ = ("group", "_c")
@@ -34,14 +40,22 @@ class AlgebraElement:
         clean: dict[int, Fraction] = {}
         if coeffs:
             for key, value in coeffs.items():
-                q = Fraction(value)
-                if not q:
-                    continue
                 if isinstance(key, WeylElement):
                     if key.group is not group:
                         raise MixedGroups("coefficient keyed by foreign element")
                     key = key.index
-                clean[key] = q
+                elif (
+                    not isinstance(key, int)
+                    or isinstance(key, bool)
+                    or not 0 <= key < group.order
+                ):
+                    raise ValueError(
+                        f"coefficient key {key!r} is neither an element of this "
+                        f"group nor an index in range({group.order})"
+                    )
+                q = Fraction(value)
+                if q:
+                    clean[key] = q
         self._c = clean
 
     @classmethod
@@ -106,19 +120,27 @@ class AlgebraElement:
         return AlgebraElement._raw(self.group, {x: q * c for x, c in self._c.items()})
 
     def __mul__(self, other):
+        """Convolution product, or scaling by an int or Fraction.
+
+        Each operand is written as integer numerators over its common
+        denominator; the double loop accumulates integer products per
+        output element and one Fraction(n, da * db) is built per nonzero
+        output coefficient.
+        """
         if isinstance(other, AlgebraElement):
             _same_group(self, other)
+            na, da = _numerators(self._c)
+            nb, db = _numerators(other._c)
             prod = self.group.product_index
-            out: dict[int, Fraction] = {}
-            for x, a in self._c.items():
-                for y, b in other._c.items():
+            acc: dict[int, int] = {}
+            for x, a in na.items():
+                for y, b in nb.items():
                     k = prod(x, y)
-                    s = out.get(k, 0) + a * b
-                    if s:
-                        out[k] = s
-                    elif k in out:
-                        del out[k]
-            return AlgebraElement._raw(self.group, out)
+                    acc[k] = acc.get(k, 0) + a * b
+            d = da * db
+            return AlgebraElement._raw(
+                self.group, {k: Fraction(n, d) for k, n in acc.items() if n}
+            )
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -154,6 +176,12 @@ class AlgebraElement:
             word_name(elements[x].canonical_word): str(self._c[x])
             for x in sorted(self._c)
         }
+
+
+def _numerators(coeffs: dict[int, Fraction]) -> tuple[dict[int, int], int]:
+    """Integer numerators over the lcm d of the denominators: q = n / d."""
+    d = lcm(*{q.denominator for q in coeffs.values()})
+    return {k: q.numerator * (d // q.denominator) for k, q in coeffs.items()}, d
 
 
 def _same_group(a: AlgebraElement, b: AlgebraElement) -> None:
@@ -243,59 +271,60 @@ class SubspaceBasis:
 
 
 class _Reducer:
-    """Incremental reduced row echelon form over the rationals.
+    """Incremental fraction-free forward echelon form over the integers.
 
-    Pivot columns are the smallest enumeration indices available; stored
-    pivot rows are kept mutually reduced, so membership tests and rank
-    queries are exact.
+    A row enters as its integer numerators (scaling a row by the lcm of
+    its denominators does not change any span).  Its pivot is its largest
+    column.  A row whose pivot column is taken is eliminated by
+    row <- b*row - a*pivot_row, with a/b the two pivot entries in lowest
+    terms; that clears the column and only touches smaller ones, so the
+    row's pivot strictly drops and the loop ends.  A row left nonzero
+    becomes a new pivot row, divided by the gcd of its entries.  Stored
+    rows are never back-substituted, so k disjoint insertions cost O(k),
+    and the families reduced here (disjoint coset vectors, the kernel
+    differences delta_w - delta_rep with rep the smallest index of its
+    coset, the pairs delta_x - delta_xs) take a fresh pivot at once.
     """
 
     __slots__ = ("pivots",)
 
     def __init__(self):
-        self.pivots: dict[int, dict[int, Fraction]] = {}
+        self.pivots: dict[int, dict[int, int]] = {}
 
     def insert(self, coeffs: dict[int, Fraction]) -> bool:
         """Reduce a row; returns True when it enlarges the span."""
-        row = dict(coeffs)
+        row, _ = _numerators(coeffs)
+        pivots = self.pivots
         while row:
-            p = min(row)
-            piv = self.pivots.get(p)
+            p = max(row)
+            piv = pivots.get(p)
             if piv is None:
-                c = row[p]
-                new = {k: v / c for k, v in row.items()}
-                for other in self.pivots.values():
-                    coef = other.get(p)
-                    if coef:
-                        for k, v in new.items():
-                            s = other.get(k, 0) - coef * v
-                            if s:
-                                other[k] = s
-                            elif k in other:
-                                del other[k]
-                self.pivots[p] = new
+                g = gcd(*row.values())
+                pivots[p] = {k: v // g for k, v in row.items()}
                 return True
-            c = row.pop(p)
+            a, b = row[p], piv[p]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if b != 1:
+                row = {k: b * v for k, v in row.items()}
             for k, v in piv.items():
-                if k == p:
-                    continue
-                s = row.get(k, 0) - c * v
+                s = row.get(k, 0) - a * v
                 if s:
                     row[k] = s
-                elif k in row:
+                else:
                     del row[k]
         return False
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
 
 
 def span_dimension(vectors) -> SubspaceBasis:
     """Exact span dimension of a family of algebra elements.
 
-    Returns the subsequence of input vectors that introduced new pivots
-    (in input order); its length is the dimension.
+    Returns the subsequence of input vectors that raised the rank of the
+    vectors before them (in input order); its length is the dimension.
+    Vector i is kept iff it is not in the span of vectors 0..i-1, which
+    depends on the input alone, so the subsequence is the same for any
+    exact elimination order or pivot rule (here: integer forward
+    elimination on the largest column, see _Reducer).
     """
     vectors = list(vectors)
     group = None

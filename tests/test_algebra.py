@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from steinberg.algebra import (
     zero,
 )
 from steinberg.parabolic import double_cosets, maximal_reps, parabolic_elements
+from steinberg.rootsys import _PRODUCT_TABLE_LIMIT
 
 SMALL = ["A1", "A2", "B2", "G2", "A3", "B3", "C3"]
 
@@ -45,6 +47,19 @@ def test_constructor_and_coercion():
     assert zero(g).is_zero()
     assert not zero(g)
     assert bool(v)
+
+
+def test_invalid_keys_rejected():
+    g = _group("A2")
+    for key in [999, g.order, -1, "x", True, 1.0, None, (0,)]:
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            AlgebraElement(g, {key: 1})
+    with pytest.raises(ValueError, match="999"):
+        AlgebraElement(g, {999: 1, "x": 2})
+    # a zero coefficient does not excuse a bad key
+    with pytest.raises(ValueError):
+        AlgebraElement(g, {"x": 0})
+    assert AlgebraElement(g, {g.order - 1: 1}).support == (g.elements[-1],)
 
 
 def test_foreign_element_rejected():
@@ -216,6 +231,70 @@ def test_span_dimension_matches_dense_rank():
                     g, {x: Fraction(rng.randrange(-3, 4)) for x in g
                         if rng.random() < 0.5}))
             assert span_dimension(vs).dimension == orc.dense_rank(vs, g.order)
+
+
+def _random_rational(rng):
+    return Fraction(rng.randrange(-6, 7), rng.randrange(1, 13))
+
+
+def _random_family(rng, g):
+    """Sparse rational vectors, with zeros, repeats and combinations of
+    earlier vectors mixed in so that some vectors are dependent."""
+    vs = []
+    for _ in range(rng.randrange(1, 10)):
+        roll = rng.random()
+        if roll < 0.1:
+            vs.append(zero(g))
+        elif roll < 0.2 and vs:
+            vs.append(rng.choice(vs))
+        elif roll < 0.45 and len(vs) >= 2:
+            a, b = rng.sample(vs, 2)
+            vs.append(a.scale(_random_rational(rng) or 1) + b.scale(_random_rational(rng)))
+        else:
+            support = rng.sample(range(g.order), rng.randrange(1, 4))
+            vs.append(AlgebraElement(g, {x: _random_rational(rng) for x in support}))
+    return vs
+
+
+def test_span_dimension_keeps_exactly_rank_raising_vectors():
+    rng = random.Random(11)
+    for name in ["A2", "B2", "G2"]:
+        g = _group(name)
+        for _ in range(60):
+            vs = _random_family(rng, g)
+            want = []
+            for i, v in enumerate(vs):
+                if orc.dense_rank(vs[: i + 1], g.order) > orc.dense_rank(vs[:i], g.order):
+                    want.append(i)
+            basis = span_dimension(vs)
+            assert [id(v) for v in basis.vectors] == [id(vs[i]) for i in want]
+            assert basis.dimension == len(want) == orc.dense_rank(vs, g.order)
+
+
+def _naive_product(g, a, b, index_map):
+    """Per-term Fraction convolution over permutation composition."""
+    out = {}
+    for x, p in a.items():
+        for y, q in b.items():
+            k = orc.perm_mul(g, x.index, y.index, index_map)
+            out[k] = out.get(k, Fraction(0)) + p * q
+    return {g.elements[k]: q for k, q in out.items() if q}
+
+
+@pytest.mark.parametrize("name,terms", [("B2", 8), ("G2", 12), ("A6", 6)])
+def test_product_matches_naive_convolution(name, terms):
+    g = _group(name)
+    # A6 is over the product-table limit, so it covers the other product path
+    assert (g.order > _PRODUCT_TABLE_LIMIT) == (name == "A6")
+    index_map = orc.perm_index_map(g)
+    rng = random.Random(13)
+    for _ in range(25):
+        a, b = (
+            AlgebraElement(g, {x: _random_rational(rng)
+                               for x in rng.sample(range(g.order), rng.randrange(terms))})
+            for _ in range(2)
+        )
+        assert dict((a * b).items()) == _naive_product(g, a, b, index_map)
 
 
 def test_invariant_basis_dimensions():

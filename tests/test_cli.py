@@ -235,9 +235,36 @@ def test_deterministic_output(capsys):
     assert first == second
 
 
+def test_out_file_unwritable(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "report.md"
+    code, out, err = run(capsys, ["table", "--type", "A2", "--p", "0", "--q", "1",
+                                  "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not target.exists()
+
+
 def test_console_script_installed():
     import importlib.metadata as md
+    import tomllib
+    from pathlib import Path
 
-    eps = md.entry_points(group="console_scripts")
-    names = {ep.name for ep in eps}
-    assert "steinberg" in names
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    declared = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    target = declared["project"]["scripts"]["steinberg"]
+    assert target == "steinberg.cli:main"
+
+    entry = md.EntryPoint(name="steinberg", value=target, group="console_scripts")
+    with pytest.raises(SystemExit) as exc:
+        entry.load()(["--help"])
+    assert exc.value.code == 0
+
+    # when the package is installed, its metadata must agree with pyproject
+    try:
+        dist = md.distribution("steinberg")
+    except md.PackageNotFoundError:
+        return
+    scripts = {ep.name: ep.value for ep in dist.entry_points
+               if ep.group == "console_scripts"}
+    assert scripts.get("steinberg") == target
