@@ -187,23 +187,29 @@ def _run_table(args, datum, roots, group, pairs) -> tuple[str, int]:
 
 def _run_components(args, datum, roots, group, pairs) -> tuple[str, int]:
     tag = datum.type_name or "custom"
+    as_json = args.format == "json"
     rows = []
-    json_rows = []
     for J, K in pairs:
+        if as_json:
+            j_out, k_out = list(J), list(K)
+        else:
+            j_out, k_out = _fmt_subset(J), _fmt_subset(K)
         for comp in varieties.y_components(group, J, K):
             label = word_name(comp.label.canonical_word) or "e"
-            rows.append([
-                tag, _fmt_subset(J), _fmt_subset(K), label,
-                comp.dim_zw, comp.dim_yw, _bool(comp.eta_dim_preserved),
-            ])
-            json_rows.append({
-                "type": tag, "J": list(J), "K": list(K), "label": label,
-                "dim_Zw": comp.dim_zw, "dim_Yw": comp.dim_yw,
-                "eta_dim_preserved": comp.eta_dim_preserved,
-            })
-    if args.format == "json":
+            if as_json:
+                rows.append({
+                    "type": tag, "J": j_out, "K": k_out, "label": label,
+                    "dim_Zw": comp.dim_zw, "dim_Yw": comp.dim_yw,
+                    "eta_dim_preserved": comp.eta_dim_preserved,
+                })
+            else:
+                rows.append([
+                    tag, j_out, k_out, label,
+                    comp.dim_zw, comp.dim_yw, _bool(comp.eta_dim_preserved),
+                ])
+    if as_json:
         text = json.dumps({"schema": SCHEMA, "command": "components",
-                           "rows": json_rows}, indent=2) + "\n"
+                           "rows": rows}, indent=2) + "\n"
     elif args.format == "csv":
         text = _csv(COMPONENT_COLUMNS, rows)
     else:
@@ -267,10 +273,7 @@ def main(argv=None) -> int:
             text, code = _run_components(args, datum, roots, group, pairs)
         else:
             text, code = _run_verify(args, datum, roots, group, pairs)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    except (NotGeneralizedCartan, NotFiniteType, OrderCapExceeded) as exc:
+    except (ParseError, NotGeneralizedCartan, NotFiniteType, OrderCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     except InvalidSubset as exc:

@@ -4,6 +4,10 @@ For simple subsets J and K, each (W_J, W_K) double coset contains a unique
 element of minimal length (no left descents in J, no right descents in K)
 and a unique element of maximal length (all of them are descents).  Both
 are reached greedily from any member.
+
+The decomposition is one pass over W in enumeration order: an element
+that is not minimal has a left descent in J or a right descent in K, and
+the shorter neighbour across it is an earlier element of the same coset.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ class DoubleCosetDecomposition:
     J: tuple[int, ...]
     K: tuple[int, ...]
     cosets: tuple[DoubleCoset, ...]
-    _coset_index: dict = field(repr=False, compare=False, default_factory=dict)
+    _coset_index: list[int] = field(repr=False, compare=False, default_factory=list)
 
     def coset_of(self, w: WeylElement) -> DoubleCoset:
         return self.cosets[self._coset_index[w.index]]
@@ -70,44 +74,44 @@ class DoubleCosetDecomposition:
 def double_cosets(group: WeylGroup, J, K) -> DoubleCosetDecomposition:
     """Decompose W into (W_J, W_K) double cosets W_J w W_K.
 
-    Orbit search under left multiplication by J and right multiplication by
-    K.  Seeds are taken in enumeration order, so each orbit is discovered at
-    its minimal representative and the coset list comes out sorted.
+    One pass over the group in enumeration order.  An element x with a left
+    descent j in J joins the coset of s_j x; otherwise one with a right
+    descent k in K joins the coset of x s_k; otherwise x has neither, so it
+    is the minimal element of its coset and opens a new one.  Both s_j x and
+    x s_k are shorter than x, and enumeration is breadth-first by length, so
+    they have smaller indices and are already placed.  Cosets therefore come
+    out ordered by min_rep, each with its members in enumeration order.
     """
     subJ = _normalize_subset(group.rank, J)
     subK = _normalize_subset(group.rank, K)
-    order = group.order
-    assigned = [-1] * order
-    cosets: list[DoubleCoset] = []
-    index_map: dict[int, int] = {}
-    for seed in range(order):
-        if assigned[seed] >= 0:
-            continue
-        tag = len(cosets)
-        members = [seed]
-        assigned[seed] = tag
-        queue = [seed]
-        while queue:
-            x = queue.pop()
-            for j in subJ:
-                y = group.left_index(x, j)
-                if assigned[y] < 0:
-                    assigned[y] = tag
-                    members.append(y)
-                    queue.append(y)
-            for k in subK:
-                y = group.right_index(x, k)
-                if assigned[y] < 0:
-                    assigned[y] = tag
-                    members.append(y)
-                    queue.append(y)
-        members.sort()
-        for x in members:
-            index_map[x] = tag
-        elems = tuple(group.elements[x] for x in members)
+    mask_j = sum(1 << j for j in subJ)
+    mask_k = sum(1 << k for k in subK)
+    rdesc = group._rdesc
+    inv = group._inv
+    left = group._left
+    right = group._right
+    tags = [0] * group.order
+    members: list[list[int]] = []
+    for x in range(group.order):
+        d = rdesc[inv[x]] & mask_j
+        if d:
+            tag = tags[left[(d & -d).bit_length() - 1][x]]
+        else:
+            d = rdesc[x] & mask_k
+            if d:
+                tag = tags[right[(d & -d).bit_length() - 1][x]]
+            else:
+                tag = len(members)
+                members.append([])
+        tags[x] = tag
+        members[tag].append(x)
+    at = group.elements.__getitem__
+    cosets = []
+    for xs in members:
+        elems = tuple(map(at, xs))
         cosets.append(DoubleCoset(elements=elems, min_rep=elems[0], max_rep=elems[-1]))
     return DoubleCosetDecomposition(
-        J=subJ, K=subK, cosets=tuple(cosets), _coset_index=index_map
+        J=subJ, K=subK, cosets=tuple(cosets), _coset_index=tags
     )
 
 

@@ -26,8 +26,8 @@ from .errors import (
 DEFAULT_ORDER_CAP = 51840
 DEFAULT_ROOT_CAP = 1200
 
-# Full multiplication tables are only materialized below this group order;
-# larger groups fall back to composing root permutations per product.
+# Full multiplication tables are only materialized up to this group order,
+# on the first product; larger groups compose root permutations per product.
 _PRODUCT_TABLE_LIMIT = 2500
 
 
@@ -106,6 +106,10 @@ def validate_cartan(
     classification tag (components joined with ``x``), or ``None`` if the
     matrix matches no standard diagram.
     """
+    if not isinstance(matrix, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) for row in matrix
+    ):
+        raise NotGeneralizedCartan("matrix must be a list of rows")
     rows = [tuple(row) for row in matrix]
     rank = len(rows)
     if rank == 0:
@@ -129,6 +133,8 @@ def validate_cartan(
     _closure(mat, max_positive_roots)
     if labels is None:
         labels = tuple(f"s{i + 1}" for i in range(rank))
+    elif not isinstance(labels, (list, tuple)):
+        raise NotGeneralizedCartan("labels must be a list")
     else:
         labels = tuple(str(x) for x in labels)
         if len(labels) != rank:
@@ -398,7 +404,13 @@ class WeylElement:
 
 
 class WeylGroup:
-    """Fully enumerated Weyl group with length, descent and product tables."""
+    """Fully enumerated Weyl group with length, descent and product tables.
+
+    The length, descent, inverse and simple-reflection tables are built at
+    enumeration.  The full product table (groups of order at most
+    ``_PRODUCT_TABLE_LIMIT``) is built on the first ``product_index`` call,
+    so callers that never multiply two arbitrary elements never pay for it.
+    """
 
     __slots__ = (
         "roots",
@@ -479,17 +491,7 @@ class WeylGroup:
             [inv[right[i][inv[x]]] for x in range(order)] for i in range(rank)
         ]
 
-        if order <= _PRODUCT_TABLE_LIMIT:
-            table = []
-            for x in range(order):
-                row = [0] * order
-                row[0] = x
-                for y in range(1, order):
-                    row[y] = right[last[y]][row[parent[y]]]
-                table.append(row)
-            self._table = table
-        else:
-            self._table = None
+        self._table = None
 
         self.elements: tuple[WeylElement, ...] = tuple(
             WeylElement(self, x, words[x], perms[x]) for x in range(order)
@@ -505,9 +507,26 @@ class WeylGroup:
         return self._length[x]
 
     def product_index(self, x: int, y: int) -> int:
-        if self._table is not None:
-            return self._table[x][y]
-        return self._index[_compose(self.elements[x].root_perm, self.elements[y].root_perm)]
+        table = self._table
+        if table is None:
+            if self.order > _PRODUCT_TABLE_LIMIT:
+                return self._index[
+                    _compose(self.elements[x].root_perm, self.elements[y].root_perm)
+                ]
+            table = self._table = self._product_table()
+        return table[x][y]
+
+    def _product_table(self) -> list[list[int]]:
+        # row x of the table: x*y = (x * parent(y)) * s_last(y)
+        right, parent, last = self._right, self._parent, self._last
+        table = []
+        for x in range(self.order):
+            row = [0] * self.order
+            row[0] = x
+            for y in range(1, self.order):
+                row[y] = right[last[y]][row[parent[y]]]
+            table.append(row)
+        return table
 
     def inverse_index(self, x: int) -> int:
         return self._inv[x]

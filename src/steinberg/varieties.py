@@ -134,18 +134,26 @@ def y_components(group: WeylGroup, J, K) -> tuple[ComponentReport, ...]:
     minimal in its coset, i.e. whether the projection from Z preserved the
     dimension of the component it came from.
     """
-    profile = pair_profile(group.roots, J, K)
+    dec = parabolic.double_cosets(group, J, K)
+    profile = pair_profile(group.roots, dec.J, dec.K)
     dim_z = 2 * group.roots.n_positive
     dim_y = profile.dim_flag_p + profile.dim_flag_q
+    # minimal in W_J m W_K: no left descent in J and no right descent in K
+    mask_j = sum(1 << j for j in dec.J)
+    mask_k = sum(1 << k for k in dec.K)
     out = []
-    for coset in parabolic.double_cosets(group, J, K).cosets:
+    for coset in dec.cosets:
         m = coset.max_rep
+        minimal = not (
+            group.left_descent_mask(m.index) & mask_j
+            or group.right_descent_mask(m.index) & mask_k
+        )
         out.append(
             ComponentReport(
                 label=m,
                 dim_zw=dim_z,
                 dim_yw=dim_y,
-                eta_dim_preserved=parabolic.is_minimal_in_double_coset(m, J, K),
+                eta_dim_preserved=minimal,
             )
         )
     return tuple(out)

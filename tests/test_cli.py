@@ -215,6 +215,20 @@ def test_cartan_file_errors(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("payload", [
+    {"matrix": 5},
+    {"matrix": [5]},
+    {"matrix": [[2]], "labels": 5},
+])
+def test_cartan_file_malformed_payload(tmp_path, capsys, payload):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, ["table", "--cartan", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.csv"
     code, out, _ = run(capsys, ["table", "--type", "A2", "--p", "0", "--q", "1",

@@ -101,7 +101,7 @@ def test_double_cosets_edge_subsets():
 
 
 def test_decomposition_is_partition():
-    for name in ["A2", "B2", "B3"]:
+    for name in ["A2", "B2", "B3", "D4"]:
         g = _group(name)
         for J in orc.all_subsets(g.rank):
             for K in orc.all_subsets(g.rank):
@@ -114,18 +114,24 @@ def test_decomposition_is_partition():
 
 
 def test_cosets_match_literal_product_sets():
-    for name in ["A2", "B2"]:
+    cases = []
+    for name in ["A2", "B2", "D4"]:
         g = _group(name)
-        for J in orc.all_subsets(g.rank):
-            for K in orc.all_subsets(g.rank):
-                dec = double_cosets(g, J, K)
-                for c in dec.cosets:
-                    brute = orc.brute_double_coset(g, c.min_rep, J, K)
-                    assert {w.index for w in c.elements} == set(brute)
+        subsets = orc.all_subsets(g.rank)
+        cases += [(g, J, K) for J in subsets for K in subsets]
+    # every pair of F4 takes about half a minute against the literal oracle
+    g = _group("F4")
+    subsets = orc.all_subsets(g.rank)
+    rng = random.Random(7)
+    cases += [(g, rng.choice(subsets), rng.choice(subsets)) for _ in range(10)]
+    for g, J, K in cases:
+        for c in double_cosets(g, J, K).cosets:
+            brute = orc.brute_double_coset(g, c.min_rep, J, K)
+            assert {w.index for w in c.elements} == set(brute)
 
 
 def test_coset_count_matches_union_find():
-    for name in ["A3", "B3", "G2"]:
+    for name in ["A3", "B3", "G2", "D4", "F4"]:
         g = _group(name)
         for J in orc.all_subsets(g.rank):
             for K in orc.all_subsets(g.rank):

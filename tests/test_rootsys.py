@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as hyp
 
@@ -21,6 +23,7 @@ from steinberg import (
     validate_cartan,
     word_name,
 )
+from steinberg.varieties import y_components
 
 # frozen: classical Weyl group orders
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48,
@@ -199,6 +202,23 @@ def test_products_match_permutation_oracle():
         for w in g:
             assert (u * w).index == orc.perm_mul(g, u.index, w.index, index_map)
         assert (~u).index == orc.perm_inv(g, u.index, index_map)
+
+
+def test_product_table_built_on_first_product():
+    g = _group("D5")
+    subsets = orc.all_subsets(g.rank)
+    for J in subsets:
+        for K in subsets:
+            y_components(g, J, K)
+    # enumeration and the components sweep never multiply two elements
+    assert g._table is None
+    g.product_index(1, 2)
+    assert g._table is not None
+    index_map = orc.perm_index_map(g)
+    rng = random.Random(5)
+    for _ in range(500):
+        x, y = rng.randrange(g.order), rng.randrange(g.order)
+        assert g.product_index(x, y) == orc.perm_mul(g, x, y, index_map)
 
 
 def test_mixed_groups_rejected():
