@@ -85,25 +85,19 @@ class AlgebraElement:
         return bool(self._c)
 
     def __add__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        _same_group(self, other)
-        out = dict(self._c)
-        for x, q in other._c.items():
-            s = out.get(x, 0) + q
-            if s:
-                out[x] = s
-            elif x in out:
-                del out[x]
-        return AlgebraElement._raw(self.group, out)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign: int):
+        """self + sign * other, dropping coefficients that cancel."""
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         _same_group(self, other)
         out = dict(self._c)
         for x, q in other._c.items():
-            s = out.get(x, 0) - q
+            s = out.get(x, 0) + sign * q
             if s:
                 out[x] = s
             elif x in out:
@@ -123,19 +117,21 @@ class AlgebraElement:
         """Convolution product, or scaling by an int or Fraction.
 
         Each operand is written as integer numerators over its common
-        denominator; the double loop accumulates integer products per
-        output element and one Fraction(n, da * db) is built per nonzero
-        output coefficient.
+        denominator; the double loop fetches one product row per left term,
+        accumulates integer products per output element, and one
+        Fraction(n, da * db) is built per nonzero output coefficient.
         """
         if isinstance(other, AlgebraElement):
             _same_group(self, other)
             na, da = _numerators(self._c)
             nb, db = _numerators(other._c)
-            prod = self.group.product_index
+            product_row = self.group.product_row
+            right = list(nb.items())
             acc: dict[int, int] = {}
             for x, a in na.items():
-                for y, b in nb.items():
-                    k = prod(x, y)
+                row = product_row(x)
+                for y, b in right:
+                    k = row[y]
                     acc[k] = acc.get(k, 0) + a * b
             d = da * db
             return AlgebraElement._raw(
@@ -342,9 +338,12 @@ def span_dimension(vectors) -> SubspaceBasis:
 
 def invariant_basis(group: WeylGroup, J, K) -> SubspaceBasis:
     """Basis of e_K QW e_J: one uniform vector per (W_K, W_J) double coset."""
-    dec = double_cosets(group, K, J)
+    return _invariant_basis(group, double_cosets(group, K, J))
+
+
+def _invariant_basis(group: WeylGroup, dec_kj) -> SubspaceBasis:
     vectors = []
-    for coset in dec.cosets:
+    for coset in dec_kj.cosets:
         q = Fraction(1, coset.size)
         vectors.append(
             AlgebraElement._raw(group, {w.index: q for w in coset.elements})
@@ -358,10 +357,18 @@ def anti_invariant_basis(group: WeylGroup, J, K) -> SubspaceBasis:
     Exact zeros (cosets whose sign character is not free) are discarded
     before row reduction.
     """
-    dec = double_cosets(group, K, J)
+    return _anti_invariant_basis(
+        double_cosets(group, K, J),
+        sign_idempotent(group, K),
+        sign_idempotent(group, J),
+    )
+
+
+def _anti_invariant_basis(dec_kj, eps_k, eps_j) -> SubspaceBasis:
+    """eps_k * delta(max_rep) * eps_j per coset of dec_kj, zeros dropped."""
     vectors = []
-    for coset in dec.cosets:
-        v = sign_average(J, K, delta(coset.max_rep))
+    for coset in dec_kj.cosets:
+        v = eps_k * delta(coset.max_rep) * eps_j
         if v:
             vectors.append(v)
     return span_dimension(vectors)

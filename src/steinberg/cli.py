@@ -31,7 +31,9 @@ from .rootsys import (
     word_name,
 )
 from . import parabolic, varieties
-from .algebra import anti_invariant_basis, invariant_basis
+# table rows read varieties.pair_context; these names stay importable from
+# cli because perfbench's tracer test checks that they are rebound
+from .algebra import anti_invariant_basis, invariant_basis  # noqa: F401
 
 SCHEMA = "steinberg/1"
 
@@ -155,28 +157,31 @@ def _bool(value: bool) -> str:
 def _run_table(args, datum, roots, group, pairs) -> tuple[str, int]:
     tag = datum.type_name or "custom"
     profile = varieties.geometry_profile(roots)
+    as_json = args.format == "json"
     rows = []
-    json_rows = []
     for J, K in pairs:
         pair = varieties.pair_profile(roots, J, K)
-        cosets = len(parabolic.double_cosets(group, J, K))
-        inv = invariant_basis(group, J, K).dimension
-        anti = anti_invariant_basis(group, J, K).dimension
+        ctx = varieties.pair_context(group, J, K)
+        cosets = len(ctx.dec_jk)
+        inv = ctx.invariant.dimension
+        anti = ctx.anti_invariant.dimension
         passed = inv == cosets and anti == cosets
-        rows.append([
-            tag, _fmt_subset(J), _fmt_subset(K),
-            profile.n, profile.d, profile.l, pair.f,
-            pair.dim_x, pair.dim_y, cosets, inv, anti, _bool(passed),
-        ])
-        json_rows.append({
-            "type": tag, "J": list(J), "K": list(K),
-            "n": profile.n, "d": profile.d, "l": profile.l, "f": pair.f,
-            "dimX": pair.dim_x, "dimY": pair.dim_y,
-            "cosets": cosets, "inv_dim": inv, "anti_dim": anti,
-            "passed": passed,
-        })
-    if args.format == "json":
-        text = json.dumps({"schema": SCHEMA, "command": "table", "rows": json_rows},
+        if as_json:
+            rows.append({
+                "type": tag, "J": list(J), "K": list(K),
+                "n": profile.n, "d": profile.d, "l": profile.l, "f": pair.f,
+                "dimX": pair.dim_x, "dimY": pair.dim_y,
+                "cosets": cosets, "inv_dim": inv, "anti_dim": anti,
+                "passed": passed,
+            })
+        else:
+            rows.append([
+                tag, _fmt_subset(J), _fmt_subset(K),
+                profile.n, profile.d, profile.l, pair.f,
+                pair.dim_x, pair.dim_y, cosets, inv, anti, _bool(passed),
+            ])
+    if as_json:
+        text = json.dumps({"schema": SCHEMA, "command": "table", "rows": rows},
                           indent=2) + "\n"
     elif args.format == "csv":
         text = _csv(TABLE_COLUMNS, rows)

@@ -10,7 +10,6 @@ index (cosets, algebra coefficients, report rows) inherits that order.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 
@@ -229,52 +228,71 @@ def _components(matrix) -> list[list[int]]:
 
 
 def _perm_equivalent(a, b) -> bool:
+    """True iff some relabeling p gives a[p[i]][p[j]] == b[i][j] for all i, j.
+
+    Backtracking search: the indices of b are assigned in breadth-first
+    order over b's diagram, so each one after the first is a neighbour of
+    an assigned index, and a candidate must have the same row multiset and
+    agree with every row already assigned.  On a connected Dynkin diagram
+    that leaves at most three candidates per step past the first.
+    """
     n = len(a)
     if n != len(b):
         return False
     # cheap filter: multisets of sorted rows must agree
-    sig = lambda m: sorted(tuple(sorted(row)) for row in m)
-    if sig(a) != sig(b):
+    sig_a = [tuple(sorted(row)) for row in a]
+    sig_b = [tuple(sorted(row)) for row in b]
+    if sorted(sig_a) != sorted(sig_b):
         return False
-    for perm in itertools.permutations(range(n)):
-        if all(a[perm[i]][perm[j]] == b[i][j] for i in range(n) for j in range(n)):
+    order: list[int] = []
+    for start in range(n):
+        if start in order:
+            continue
+        k = len(order)
+        order.append(start)
+        while k < len(order):
+            i = order[k]
+            k += 1
+            order.extend([j for j in range(n) if b[i][j] and j not in order])
+    perm = [0] * n
+    used = [False] * n
+
+    def extend(depth: int) -> bool:
+        if depth == n:
             return True
-    return False
+        i = order[depth]
+        done = order[:depth]
+        for p in range(n):
+            if used[p] or sig_a[p] != sig_b[i] or a[p][p] != b[i][i]:
+                continue
+            if all(
+                a[p][perm[j]] == b[i][j] and a[perm[j]][p] == b[j][i] for j in done
+            ):
+                perm[i] = p
+                used[p] = True
+                if extend(depth + 1):
+                    return True
+                used[p] = False
+        return False
 
-
-def _candidates(rank: int):
-    letters = [("A", 1)]
-    if rank >= 2:
-        letters.append(("B", 2))
-    if rank >= 3:
-        letters.append(("C", 3))
-    if rank >= 4:
-        letters.append(("D", 4))
-    out = []
-    for letter, least in letters:
-        if rank >= least:
-            out.append((letter, rank))
-    if rank in (6, 7, 8):
-        out.append(("E", rank))
-    if rank == 4:
-        out.append(("F", 4))
-    if rank == 2:
-        out.append(("G", 2))
-    return out
+    return extend(0)
 
 
 def _classify(matrix) -> str | None:
+    # C2 and D3 are relabelings of B2 and A3, which are tried first
     tags = []
     for comp in _components(matrix):
         sub = tuple(tuple(matrix[i][j] for j in comp) for i in comp)
-        tag = None
-        for letter, n in _candidates(len(comp)):
-            if _perm_equivalent(sub, standard_cartan(letter, n)):
-                tag = f"{letter}{n}"
+        for letter in "ABCDEFG":
+            try:
+                standard = standard_cartan(letter, len(comp))
+            except ParseError:
+                continue
+            if _perm_equivalent(sub, standard):
+                tags.append(f"{letter}{len(comp)}")
                 break
-        if tag is None:
+        else:
             return None
-        tags.append(tag)
     tags.sort(key=lambda t: (t[0], int(t[1:])))
     return "x".join(tags)
 
@@ -349,6 +367,20 @@ def _invert_perm(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+class _ComposedRow:
+    """Row of x*y for a group too large for a full product table."""
+
+    __slots__ = ("_perm", "_elements", "_index")
+
+    def __init__(self, group: WeylGroup, perm: tuple[int, ...]):
+        self._perm = perm
+        self._elements = group.elements
+        self._index = group._index
+
+    def __getitem__(self, y: int) -> int:
+        return self._index[_compose(self._perm, self._elements[y].root_perm)]
+
+
 def word_name(word) -> str:
     """Render a word in the simple reflections, e.g. ``(0, 1)`` -> ``"s1s2"``."""
     return "".join(f"s{i + 1}" for i in word)
@@ -408,8 +440,9 @@ class WeylGroup:
 
     The length, descent, inverse and simple-reflection tables are built at
     enumeration.  The full product table (groups of order at most
-    ``_PRODUCT_TABLE_LIMIT``) is built on the first ``product_index`` call,
-    so callers that never multiply two arbitrary elements never pay for it.
+    ``_PRODUCT_TABLE_LIMIT``) is built on the first product (``product_row``
+    or ``product_index``), so callers that never multiply two arbitrary
+    elements never pay for it.
     """
 
     __slots__ = (
@@ -506,15 +539,23 @@ class WeylGroup:
     def length_of(self, x: int) -> int:
         return self._length[x]
 
-    def product_index(self, x: int, y: int) -> int:
+    def product_row(self, x: int):
+        """Row x of the multiplication table: ``product_row(x)[y]`` is x*y.
+
+        Up to ``_PRODUCT_TABLE_LIMIT`` this is a row of the full table,
+        built on the first call; above it, an indexable view that composes
+        root permutations per lookup.  A convolution fetches one row per
+        left term and indexes it in its inner loop.
+        """
         table = self._table
         if table is None:
             if self.order > _PRODUCT_TABLE_LIMIT:
-                return self._index[
-                    _compose(self.elements[x].root_perm, self.elements[y].root_perm)
-                ]
+                return _ComposedRow(self, self.elements[x].root_perm)
             table = self._table = self._product_table()
-        return table[x][y]
+        return table[x]
+
+    def product_index(self, x: int, y: int) -> int:
+        return self.product_row(x)[y]
 
     def _product_table(self) -> list[list[int]]:
         # row x of the table: x*y = (x * parent(y)) * s_last(y)

@@ -7,14 +7,23 @@ d = 2n + l with l the rank, the Steinberg variety Z is purely
 X and Y have components indexed by double cosets.  The verifiers
 recompute both sides of each dimension identity independently and report
 exact integer comparisons.
+
+The three per-pair verifiers share one ``PairContext`` from
+``pair_context``: the (W_J, W_K) and (W_K, W_J) decompositions, each from
+its own ``double_cosets`` call, plus the idempotents e_J, e_K, eps_J,
+eps_K and the invariant and anti-invariant bases, each built on first
+use.  Only the context of the most recent (group, J, K) is kept, so a
+sweep holds one pair's worth of vectors at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property, lru_cache
 
 from . import algebra, parabolic
-from .algebra import SubspaceBasis
+from .algebra import AlgebraElement, SubspaceBasis
 from .rootsys import RootSystem, WeylElement, WeylGroup, word_name
 
 
@@ -159,14 +168,74 @@ def y_components(group: WeylGroup, J, K) -> tuple[ComponentReport, ...]:
     return tuple(out)
 
 
+class PairContext:
+    """The work shared by every check of one parabolic pair (J, K).
+
+    ``dec_jk`` and ``dec_kj`` come from two separate ``double_cosets``
+    calls, not one derived from the other by inversion: ``dec_jk`` is the
+    expected side of the dimension reports, while ``dec_kj`` indexes the
+    vectors whose span is the computed side.  Idempotents and bases are
+    built on first use.
+    """
+
+    def __init__(self, group: WeylGroup, J: tuple[int, ...], K: tuple[int, ...]):
+        self.group = group
+        self.J = J
+        self.K = K
+        self.dec_jk = parabolic.double_cosets(group, J, K)
+        self.dec_kj = parabolic.double_cosets(group, K, J)
+
+    @cached_property
+    def e_j(self) -> AlgebraElement:
+        return algebra.trivial_idempotent(self.group, self.J)
+
+    @cached_property
+    def e_k(self) -> AlgebraElement:
+        return algebra.trivial_idempotent(self.group, self.K)
+
+    @cached_property
+    def eps_j(self) -> AlgebraElement:
+        return algebra.sign_idempotent(self.group, self.J)
+
+    @cached_property
+    def eps_k(self) -> AlgebraElement:
+        return algebra.sign_idempotent(self.group, self.K)
+
+    @cached_property
+    def invariant(self) -> SubspaceBasis:
+        """Basis of e_K QW e_J, one uniform vector per (W_K, W_J) coset."""
+        return algebra._invariant_basis(self.group, self.dec_kj)
+
+    @cached_property
+    def anti_invariant(self) -> SubspaceBasis:
+        """Basis of eps_K QW eps_J from the sign-averaged max reps."""
+        return algebra._anti_invariant_basis(self.dec_kj, self.eps_k, self.eps_j)
+
+
+def pair_context(group: WeylGroup, J, K) -> PairContext:
+    """The shared context of (J, K); raises InvalidSubset on a bad subset."""
+    return _pair_context(
+        group,
+        parabolic.normalize_subset(group.rank, J),
+        parabolic.normalize_subset(group.rank, K),
+    )
+
+
+@lru_cache(maxsize=1)
+def _pair_context(
+    group: WeylGroup, J: tuple[int, ...], K: tuple[int, ...]
+) -> PairContext:
+    return PairContext(group, J, K)
+
+
 def verify_invariant_isomorphism(group: WeylGroup, J, K) -> VerificationReport:
     """dim e_K QW e_J must equal the number of (W_J, W_K) double cosets."""
-    dec = parabolic.double_cosets(group, J, K)
-    basis = algebra.invariant_basis(group, J, K)
-    expected = len(dec)
+    ctx = pair_context(group, J, K)
+    basis = ctx.invariant
+    expected = len(ctx.dec_jk)
     computed = basis.dimension
     return VerificationReport(
-        claim=f"invariant-dimension J={_fmt(dec.J)} K={_fmt(dec.K)}",
+        claim=f"invariant-dimension J={_fmt(ctx.J)} K={_fmt(ctx.K)}",
         expected=expected,
         computed=computed,
         passed=expected == computed,
@@ -177,14 +246,13 @@ def verify_invariant_isomorphism(group: WeylGroup, J, K) -> VerificationReport:
 
 def verify_anti_invariant_isomorphism(group: WeylGroup, J, K) -> VerificationReport:
     """dim eps_K QW eps_J must equal the number of maximal representatives."""
-    reps = parabolic.maximal_reps(group, J, K)
-    basis = algebra.anti_invariant_basis(group, J, K)
+    ctx = pair_context(group, J, K)
+    reps = [coset.max_rep for coset in ctx.dec_jk.cosets]
+    basis = ctx.anti_invariant
     expected = len(reps)
     computed = basis.dimension
-    subJ = parabolic.normalize_subset(group.rank, J)
-    subK = parabolic.normalize_subset(group.rank, K)
     return VerificationReport(
-        claim=f"anti-invariant-dimension J={_fmt(subJ)} K={_fmt(subK)}",
+        claim=f"anti-invariant-dimension J={_fmt(ctx.J)} K={_fmt(ctx.K)}",
         expected=expected,
         computed=computed,
         passed=expected == computed,
@@ -227,27 +295,30 @@ def hotta_verification(group: WeylGroup, s: int) -> VerificationReport:
 
 
 def averaging_image_check(group: WeylGroup, J, K) -> VerificationReport:
-    """Rank and kernel of the projector average(J, K, .) on QW.
+    """Rank and kernel of the projector v -> e_K * v * e_J on QW.
 
     The rank comes from row reducing one uniform vector per (W_K, W_J)
-    double coset after verifying each is fixed by the projector; the
-    kernel dimension is checked against the explicit independent family
+    double coset after verifying each is fixed by the projector, and is
+    compared with the (W_J, W_K) coset count; the kernel dimension is
+    checked against the explicit independent family
     delta_x - delta_{min_rep(x)}, which row reduction must size at
     |W| - #cosets.
     """
-    subJ = parabolic.normalize_subset(group.rank, J)
-    subK = parabolic.normalize_subset(group.rank, K)
-    basis = algebra.invariant_basis(group, J, K)
-    fixed = all(algebra.average(subJ, subK, v) == v for v in basis.vectors)
-    dec = parabolic.double_cosets(group, subK, subJ)
+    ctx = pair_context(group, J, K)
+    basis = ctx.invariant
+    e_j, e_k = ctx.e_j, ctx.e_k
+    fixed = all(e_k * v * e_j == v for v in basis.vectors)
+    one, minus_one = Fraction(1), Fraction(-1)
     kernel_family = []
-    for coset in dec.cosets:
-        rep = coset.min_rep
+    for coset in ctx.dec_kj.cosets:
+        rep = coset.min_rep.index
         for w in coset.elements:
-            if w.index != rep.index:
-                kernel_family.append(algebra.AlgebraElement(group, {w: 1, rep: -1}))
+            if w.index != rep:
+                kernel_family.append(
+                    AlgebraElement._raw(group, {w.index: one, rep: minus_one})
+                )
     kernel = algebra.span_dimension(kernel_family)
-    expected = len(dec)
+    expected = len(ctx.dec_jk)
     computed = basis.dimension
     passed = (
         fixed
@@ -255,7 +326,7 @@ def averaging_image_check(group: WeylGroup, J, K) -> VerificationReport:
         and kernel.dimension == group.order - computed
     )
     return VerificationReport(
-        claim=f"averaging-image J={_fmt(subJ)} K={_fmt(subK)}",
+        claim=f"averaging-image J={_fmt(ctx.J)} K={_fmt(ctx.K)}",
         expected=expected,
         computed=computed,
         passed=passed,

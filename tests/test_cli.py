@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -282,3 +283,66 @@ def test_console_script_installed():
     scripts = {ep.name: ep.value for ep in dist.entry_points
                if ep.group == "console_scripts"}
     assert scripts.get("steinberg") == target
+
+
+# frozen: stdout sha256 of every table/verify format on four types with
+# --all-pairs, recorded from the implementation before the per-pair context
+CORPUS_SHA256 = {
+    ("table", "A2", "markdown"):
+        "f11ebf8556f84e5e460b06d1e47eb11e7d4130ae36b9648087c0d1ebda06111e",
+    ("table", "A2", "csv"):
+        "e01ddcd7b14cc00a4351279c491b2e459a85ed371226dddff08886d3f38cf999",
+    ("table", "A2", "json"):
+        "0912992484265cab199342b4f43fd3b99d8742568e47ed3dfc09eb2790bfa48f",
+    ("table", "B3", "markdown"):
+        "a6ea4c4b36ef2e067072f4b4d87ed658a758c5fcb83e93aba95e269e57cb79b0",
+    ("table", "B3", "csv"):
+        "73b04e53a7753ab8dfda3390c149db38cee23047f75bfa8027a38011388ae9cf",
+    ("table", "B3", "json"):
+        "8cce367cf0b6152063104262338b925347807ec9397daad12bf552e5d847aa9e",
+    ("table", "G2", "markdown"):
+        "dfdf90f1e56a840fb23e4bd8ee80d152d81dc14426c0e9142eb74c8a49b51758",
+    ("table", "G2", "csv"):
+        "c9449dcf00a2e3a84388b9a877a49f51c31d81f835e7a379c6f4711a12b193ef",
+    ("table", "G2", "json"):
+        "5b3c9d6890ee4de07c07d916cf3d4c13eb41d79d94ff08b597200a51989de2af",
+    ("table", "D4", "markdown"):
+        "55856fb31b192d4a9dfaa7949003fa8ed7d67f843cbcc089e64d14f9b09e9d32",
+    ("table", "D4", "csv"):
+        "f78b0aa6e3bba1ac3d9fe55047ec03cc917e32b220e6ca59d1cd966c9aaf27bf",
+    ("table", "D4", "json"):
+        "e7d22798e81f56ce8146ac1e940aa1dfaaf7caea2228824b31f5b87c6defd9a3",
+    ("verify", "A2", "markdown"):
+        "ff2ae4a5a0e30575b3bed9f5bccd3e7f8032545419a63c1b8a91b5ca13375004",
+    ("verify", "A2", "csv"):
+        "68f02cb4ea56fd342ba48672906e69b8932282523f51211281de0c193e6e83eb",
+    ("verify", "A2", "json"):
+        "ddf781cfe27c196f42e7778b2d6bf6895228068d40878d89082f2eb5c068b63e",
+    ("verify", "B3", "markdown"):
+        "9108f706d5049582e8d2a01e615859a9f52edfe5a6ed8563c6a8b626579d39e5",
+    ("verify", "B3", "csv"):
+        "51035d299b2301e6d60a7db169bbd2796fd757191343257837f6a9f39581b1af",
+    ("verify", "B3", "json"):
+        "e62e2857db95a63035b52dcb08b08e79bcf3c26d61e9945484f900ad120e2842",
+    ("verify", "G2", "markdown"):
+        "d21db216d360b25181be08b33332785432ae903ccaf012b80d1ab824e7e23be6",
+    ("verify", "G2", "csv"):
+        "849a5db677fe059d2b9e15e11710dfeddef3c1462afbe6649559b99c922879f7",
+    ("verify", "G2", "json"):
+        "8e1efeb53f23eac92586831d9900347e50210c5d23ce07d52eb00cdb2d6d5297",
+    ("verify", "D4", "markdown"):
+        "a2cd9b881bdab3a5a5891cccc49f3595e85ecaee124f3d008969de35b77b243f",
+    ("verify", "D4", "csv"):
+        "8a1de6a549b9e2ada2f4b4bdcb12774fd2fc329989612be809d4363f4e8f843d",
+    ("verify", "D4", "json"):
+        "a8f561048759c55daae382f9ba74d65a4f9a23803584e6947b26823395ba787a",
+}
+
+
+@pytest.mark.parametrize("command,name,fmt", sorted(CORPUS_SHA256))
+def test_cli_bytes_frozen_corpus(capsys, command, name, fmt):
+    code, out, err = run(capsys, [command, "--type", name, "--all-pairs",
+                                  "--format", fmt])
+    assert code == 0 and err == ""
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == CORPUS_SHA256[command, name, fmt]

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as hyp
@@ -23,6 +25,8 @@ from steinberg import (
     validate_cartan,
     word_name,
 )
+from steinberg import cli
+from steinberg.rootsys import _PRODUCT_TABLE_LIMIT
 from steinberg.varieties import y_components
 
 # frozen: classical Weyl group orders
@@ -53,6 +57,71 @@ def test_classification_permuted_and_products():
     assert validate_cartan([[2, 0], [0, 2]]).type_name == "A1xA1"
     # D3 relabels to A3
     assert validate_cartan(standard_cartan("D", 3)).type_name == "A3"
+
+
+def _relabel(matrix, perm):
+    n = len(matrix)
+    return [[matrix[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+def _block_sum(a, b):
+    n, m = len(a), len(b)
+    return [list(row) + [0] * m for row in a] + [[0] * n + list(row) for row in b]
+
+
+# every standard type up to rank 8, with its frozen classification tag:
+# C2 is B2 relabeled and D3 is A3 relabeled
+STANDARD_UP_TO_8 = (
+    [(f"A{n}", f"A{n}") for n in range(1, 9)]
+    + [(f"B{n}", f"B{n}") for n in range(2, 9)]
+    + [("C2", "B2")] + [(f"C{n}", f"C{n}") for n in range(3, 9)]
+    + [("D3", "A3")] + [(f"D{n}", f"D{n}") for n in range(4, 9)]
+    + [("E6", "E6"), ("E7", "E7"), ("E8", "E8"), ("F4", "F4"), ("G2", "G2")]
+)
+
+
+def _standard(name):
+    return standard_cartan(name[0], int(name[1:]))
+
+
+def _tag_key(tag):
+    return (tag[0], int(tag[1:]))
+
+
+def test_classification_permuted_standard_types_up_to_rank_8():
+    rng = random.Random(17)
+    for name, tag in STANDARD_UP_TO_8:
+        matrix = _standard(name)
+        assert validate_cartan(matrix).type_name == tag
+        for _ in range(3):
+            perm = list(range(len(matrix)))
+            rng.shuffle(perm)
+            assert validate_cartan(_relabel(matrix, perm)).type_name == tag
+        other, other_tag = rng.choice(STANDARD_UP_TO_8)
+        total = _block_sum(matrix, _standard(other))
+        perm = list(range(len(total)))
+        rng.shuffle(perm)
+        expected = "x".join(sorted([tag, other_tag], key=_tag_key))
+        assert validate_cartan(_relabel(total, perm)).type_name == expected
+
+
+@pytest.mark.parametrize("name", ["A12", "B10", "D10"])
+def test_classification_shuffled_large_rank_is_fast(tmp_path, capsys, name):
+    matrix = _standard(name)
+    perm = list(range(len(matrix)))
+    random.Random(name).shuffle(perm)
+    shuffled = _relabel(matrix, perm)
+    start = time.perf_counter()
+    assert validate_cartan(shuffled).type_name == name
+    assert time.perf_counter() - start < 1.0
+    # through --cartan: classified, then refused by the order cap (exit 2)
+    path = tmp_path / "cartan.json"
+    path.write_text(json.dumps({"matrix": shuffled}))
+    start = time.perf_counter()
+    code = cli.main(["table", "--cartan", str(path), "--order-cap", "10"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_validate_rejects_affine():
@@ -219,6 +288,21 @@ def test_product_table_built_on_first_product():
     for _ in range(500):
         x, y = rng.randrange(g.order), rng.randrange(g.order)
         assert g.product_index(x, y) == orc.perm_mul(g, x, y, index_map)
+
+
+@pytest.mark.parametrize("name", ["B3", "A6"])
+def test_product_row_matches_product_index_and_oracle(name):
+    g = _group(name)
+    # B3 reads rows of the full table; A6 is over the limit and composes
+    assert (g.order > _PRODUCT_TABLE_LIMIT) == (name == "A6")
+    index_map = orc.perm_index_map(g)
+    rng = random.Random(29)
+    xs = rng.sample(range(g.order), 20)
+    ys = rng.sample(range(g.order), 20)
+    for x in xs:
+        row = g.product_row(x)
+        for y in ys:
+            assert row[y] == g.product_index(x, y) == orc.perm_mul(g, x, y, index_map)
 
 
 def test_mixed_groups_rejected():

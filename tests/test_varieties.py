@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import oracles as orc
-from steinberg import cartan_from_name, enumerate_weyl, root_system
+from steinberg import algebra, cartan_from_name, enumerate_weyl, parabolic, root_system
 from steinberg.parabolic import double_cosets, maximal_reps
 from steinberg.varieties import (
     averaging_image_check,
@@ -252,3 +252,54 @@ def test_report_jsonable():
     assert d["detail"] == {"cosets": 2}
     slim = report_jsonable(r, include_witness=False)
     assert "witness" not in slim
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    """Replace ``name`` in ``module`` and in every module that copied it."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    for holder in (parabolic, algebra):
+        if getattr(holder, name, None) is original:
+            monkeypatch.setattr(holder, name, counted)
+
+
+def test_pair_verifiers_share_one_context(monkeypatch):
+    g = _group("D4")  # a fresh group, so no earlier context can be reused
+    counts = {}
+    _count_calls(monkeypatch, parabolic, "double_cosets", counts)
+    _count_calls(monkeypatch, parabolic, "parabolic_elements", counts)
+    _count_calls(monkeypatch, algebra, "span_dimension", counts)
+    J, K = [0, 1], [2, 3]
+    reports = [
+        verify_invariant_isomorphism(g, J, K),
+        verify_anti_invariant_isomorphism(g, J, K),
+        averaging_image_check(g, J, K),
+    ]
+    assert all(r.passed for r in reports)
+    # one (J, K) and one (K, J) decomposition, computed separately
+    assert counts["double_cosets"] == 2
+    # e_J, e_K, eps_J, eps_K, each built once
+    assert counts["parabolic_elements"] <= 4
+    # invariant basis (shared), anti-invariant basis, kernel family
+    assert counts["span_dimension"] == 3
+    # the invariant and averaging reports witness with the same basis
+    assert reports[0].witness is reports[2].witness
+
+
+def test_pair_context_never_crosses_groups():
+    groups = [_group("D4"), _group("D4")]
+    J, K = [0, 2], [1]
+    for _ in range(2):
+        for g in groups:
+            for r in (
+                verify_invariant_isomorphism(g, J, K),
+                verify_anti_invariant_isomorphism(g, J, K),
+                averaging_image_check(g, J, K),
+            ):
+                assert r.passed
+                assert r.witness.vectors
+                assert all(v.group is g for v in r.witness.vectors)
