@@ -1,13 +1,13 @@
 """Exact rational group algebra of a Weyl group.
 
-Elements are sparse maps from group elements to Fraction coefficients.
-The module provides the trivial and sign idempotents of parabolic
-subgroups, the two-sided averaging projectors built from them, and exact
-row reduction for computing dimensions of the resulting subspaces.  All
-arithmetic is rational; nothing here rounds.  The two hot kernels, the
-convolution product and the row reducer, work on integer numerators over
-a common denominator, so Fraction appears only where coefficients enter
-and leave them.
+An element stores its coefficients as integer numerators over one
+positive common denominator, in lowest terms; Fraction appears only where
+coefficients enter (the constructor, ``scale``) and leave (``coefficient``,
+``items``, ``to_jsonable``, ``repr``).  The module provides the trivial and
+sign idempotents of parabolic subgroups, the two-sided averaging
+projectors built from them, and exact row reduction for computing
+dimensions of the resulting subspaces.  All arithmetic is exact; nothing
+here rounds.
 """
 
 from __future__ import annotations
@@ -20,24 +20,24 @@ from .errors import InvalidSubset, MixedGroups
 from .parabolic import double_cosets, parabolic_elements
 from .rootsys import WeylElement, WeylGroup, word_name
 
-_ONE = Fraction(1)
-
 
 class AlgebraElement:
     """Sparse rational linear combination of Weyl group elements.
 
-    Coefficients are keyed internally by enumeration index; zero
-    coefficients are never stored.  Keys may be elements of the same group
-    or enumeration indices in range(group.order); anything else raises
-    ValueError.  Instances are immutable: all operations return new
+    The coefficient of the element with enumeration index x is
+    ``_n[x] / _d``: ``_n`` holds the nonzero integer numerators and ``_d``
+    is one positive denominator, with ``gcd(_d, *_n.values()) == 1`` (so
+    ``_d == 1`` for zero).  The form is canonical, so equal elements have
+    equal fields.  Keys may be elements of the same group or enumeration
+    indices in range(group.order), values ints or Fractions; anything else
+    raises ValueError.  Instances are immutable: all operations return new
     elements.
     """
 
-    __slots__ = ("group", "_c")
+    __slots__ = ("group", "_n", "_d")
 
     def __init__(self, group: WeylGroup, coeffs=None):
-        self.group = group
-        clean: dict[int, Fraction] = {}
+        clean: dict[int, int | Fraction] = {}
         if coeffs:
             for key, value in coeffs.items():
                 if isinstance(key, WeylElement):
@@ -53,36 +53,42 @@ class AlgebraElement:
                         f"coefficient key {key!r} is neither an element of this "
                         f"group nor an index in range({group.order})"
                     )
-                q = Fraction(value)
-                if q:
-                    clean[key] = q
-        self._c = clean
+                if _exact(value):
+                    clean[key] = value
+        d = lcm(*{q.denominator for q in clean.values()})
+        self.group = group
+        self._n, self._d = _lowest(
+            {x: q.numerator * (d // q.denominator) for x, q in clean.items()}, d
+        )
 
     @classmethod
-    def _raw(cls, group: WeylGroup, coeffs: dict[int, Fraction]) -> AlgebraElement:
+    def _raw(
+        cls, group: WeylGroup, num: dict[int, int], d: int = 1
+    ) -> AlgebraElement:
+        """The element num / d in lowest terms (zeros dropped); needs d > 0."""
         out = cls.__new__(cls)
         out.group = group
-        out._c = coeffs
+        out._n, out._d = _lowest(num, d)
         return out
 
     def coefficient(self, w: WeylElement) -> Fraction:
-        return self._c.get(w.index, Fraction(0))
+        return Fraction(self._n.get(w.index, 0), self._d)
 
     @property
     def support(self) -> tuple[WeylElement, ...]:
         elements = self.group.elements
-        return tuple(elements[x] for x in sorted(self._c))
+        return tuple(elements[x] for x in sorted(self._n))
 
     def items(self):
         """(element, coefficient) pairs in enumeration order."""
-        elements = self.group.elements
-        return [(elements[x], self._c[x]) for x in sorted(self._c)]
+        elements, num, d = self.group.elements, self._n, self._d
+        return [(elements[x], Fraction(num[x], d)) for x in sorted(num)]
 
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._n
 
     def __bool__(self) -> bool:
-        return bool(self._c)
+        return bool(self._n)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -91,73 +97,63 @@ class AlgebraElement:
         return self._combine(other, -1)
 
     def _combine(self, other, sign: int):
-        """self + sign * other, dropping coefficients that cancel."""
+        """self + sign * other over the lcm of the two denominators."""
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         _same_group(self, other)
-        out = dict(self._c)
-        for x, q in other._c.items():
-            s = out.get(x, 0) + sign * q
-            if s:
-                out[x] = s
-            elif x in out:
-                del out[x]
-        return AlgebraElement._raw(self.group, out)
+        d = lcm(self._d, other._d)
+        fa, fb = d // self._d, sign * (d // other._d)
+        out = {x: fa * n for x, n in self._n.items()}
+        for x, n in other._n.items():
+            out[x] = out.get(x, 0) + fb * n
+        return AlgebraElement._raw(self.group, out, d)
 
     def __neg__(self):
-        return AlgebraElement._raw(self.group, {x: -q for x, q in self._c.items()})
+        return self.scale(-1)
 
     def scale(self, q) -> AlgebraElement:
-        q = Fraction(q)
-        if not q:
-            return AlgebraElement._raw(self.group, {})
-        return AlgebraElement._raw(self.group, {x: q * c for x, c in self._c.items()})
+        a = _exact(q).numerator
+        return AlgebraElement._raw(
+            self.group, {x: a * n for x, n in self._n.items()}, self._d * q.denominator
+        )
 
     def __mul__(self, other):
         """Convolution product, or scaling by an int or Fraction.
 
-        Each operand is written as integer numerators over its common
-        denominator; the double loop fetches one product row per left term,
-        accumulates integer products per output element, and one
-        Fraction(n, da * db) is built per nonzero output coefficient.
+        The double loop fetches one product row per left term and
+        accumulates integer products of numerators per output element; one
+        gcd normalisation over the product of the denominators follows.
         """
         if isinstance(other, AlgebraElement):
             _same_group(self, other)
-            na, da = _numerators(self._c)
-            nb, db = _numerators(other._c)
             product_row = self.group.product_row
-            right = list(nb.items())
+            right = list(other._n.items())
             acc: dict[int, int] = {}
-            for x, a in na.items():
+            for x, a in self._n.items():
                 row = product_row(x)
                 for y, b in right:
                     k = row[y]
                     acc[k] = acc.get(k, 0) + a * b
-            d = da * db
-            return AlgebraElement._raw(
-                self.group, {k: Fraction(n, d) for k, n in acc.items() if n}
-            )
+            return AlgebraElement._raw(self.group, acc, self._d * other._d)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__  # only ever reached with a scalar on the left
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, AlgebraElement)
             and other.group is self.group
-            and other._c == self._c
+            and other._d == self._d
+            and other._n == self._n
         )
 
     def __hash__(self):
-        return hash((id(self.group), frozenset(self._c.items())))
+        return hash((id(self.group), self._d, frozenset(self._n.items())))
 
     def __repr__(self) -> str:
-        if not self._c:
+        if not self._n:
             return "0"
         parts = []
         for w, q in self.items():
@@ -167,17 +163,20 @@ class AlgebraElement:
 
     def to_jsonable(self) -> dict[str, str]:
         """Canonical word -> coefficient string, identity rendered as ""."""
-        elements = self.group.elements
-        return {
-            word_name(elements[x].canonical_word): str(self._c[x])
-            for x in sorted(self._c)
-        }
+        return {word_name(w.canonical_word): str(q) for w, q in self.items()}
 
 
-def _numerators(coeffs: dict[int, Fraction]) -> tuple[dict[int, int], int]:
-    """Integer numerators over the lcm d of the denominators: q = n / d."""
-    d = lcm(*{q.denominator for q in coeffs.values()})
-    return {k: q.numerator * (d // q.denominator) for k, q in coeffs.items()}, d
+def _exact(q) -> int | Fraction:
+    """q itself if it is an int (not a bool) or a Fraction; else ValueError."""
+    if isinstance(q, bool) or not isinstance(q, (int, Fraction)):
+        raise ValueError(f"coefficient {q!r} is neither an int nor a Fraction")
+    return q
+
+
+def _lowest(num: dict[int, int], d: int) -> tuple[dict[int, int], int]:
+    """num / d divided by gcd(d, *num.values()), zero numerators dropped."""
+    g = gcd(d, *num.values())
+    return {x: n // g for x, n in num.items() if n}, d // g
 
 
 def _same_group(a: AlgebraElement, b: AlgebraElement) -> None:
@@ -187,7 +186,7 @@ def _same_group(a: AlgebraElement, b: AlgebraElement) -> None:
 
 def delta(w: WeylElement) -> AlgebraElement:
     """Basis vector of one group element."""
-    return AlgebraElement._raw(w.group, {w.index: _ONE})
+    return AlgebraElement._raw(w.group, {w.index: 1})
 
 
 def zero(group: WeylGroup) -> AlgebraElement:
@@ -210,16 +209,14 @@ def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 def trivial_idempotent(group: WeylGroup, J) -> AlgebraElement:
     """e_J: uniform average over the parabolic W_J.  Satisfies e_J^2 = e_J."""
     members = parabolic_elements(group, J)
-    q = Fraction(1, len(members))
-    return AlgebraElement._raw(group, {w.index: q for w in members})
+    return AlgebraElement._raw(group, {w.index: 1 for w in members}, len(members))
 
 
 def sign_idempotent(group: WeylGroup, J) -> AlgebraElement:
     """eps_J: sign-weighted average over W_J.  Satisfies eps_J^2 = eps_J."""
     members = parabolic_elements(group, J)
-    q = Fraction(1, len(members))
     return AlgebraElement._raw(
-        group, {w.index: -q if w.length % 2 else q for w in members}
+        group, {w.index: -1 if w.length % 2 else 1 for w in members}, len(members)
     )
 
 
@@ -237,7 +234,7 @@ def biact(w: WeylElement, wprime: WeylElement, v: AlgebraElement) -> AlgebraElem
     wi = group.inverse_index(w.index)
     wp = wprime.index
     return AlgebraElement._raw(
-        group, {prod(prod(wp, x), wi): q for x, q in v._c.items()}
+        group, {prod(prod(wp, x), wi): n for x, n in v._n.items()}, v._d
     )
 
 
@@ -269,8 +266,8 @@ class SubspaceBasis:
 class _Reducer:
     """Incremental fraction-free forward echelon form over the integers.
 
-    A row enters as its integer numerators (scaling a row by the lcm of
-    its denominators does not change any span).  Its pivot is its largest
+    A row enters as an element's integer numerators (dropping the common
+    denominator does not change any span).  Its pivot is its largest
     column.  A row whose pivot column is taken is eliminated by
     row <- b*row - a*pivot_row, with a/b the two pivot entries in lowest
     terms; that clears the column and only touches smaller ones, so the
@@ -287,9 +284,9 @@ class _Reducer:
     def __init__(self):
         self.pivots: dict[int, dict[int, int]] = {}
 
-    def insert(self, coeffs: dict[int, Fraction]) -> bool:
-        """Reduce a row; returns True when it enlarges the span."""
-        row, _ = _numerators(coeffs)
+    def insert(self, num: dict[int, int]) -> bool:
+        """Reduce a copy of a row; returns True when it enlarges the span."""
+        row = dict(num)
         pivots = self.pivots
         while row:
             p = max(row)
@@ -331,7 +328,7 @@ def span_dimension(vectors) -> SubspaceBasis:
             group = v.group
         elif v.group is not group:
             raise MixedGroups("vectors live in different group algebras")
-        if reducer.insert(v._c):
+        if reducer.insert(v._n):
             kept.append(v)
     return SubspaceBasis(vectors=tuple(kept), dimension=len(kept))
 
@@ -344,9 +341,8 @@ def invariant_basis(group: WeylGroup, J, K) -> SubspaceBasis:
 def _invariant_basis(group: WeylGroup, dec_kj) -> SubspaceBasis:
     vectors = []
     for coset in dec_kj.cosets:
-        q = Fraction(1, coset.size)
         vectors.append(
-            AlgebraElement._raw(group, {w.index: q for w in coset.elements})
+            AlgebraElement._raw(group, {w.index: 1 for w in coset.elements}, coset.size)
         )
     return span_dimension(vectors)
 
@@ -386,7 +382,5 @@ def right_sign_eigenspace(group: WeylGroup, s: int) -> SubspaceBasis:
     for x in range(group.order):
         y = group.right_index(x, s)
         if x < y:
-            vectors.append(
-                AlgebraElement._raw(group, {x: _ONE, y: Fraction(-1)})
-            )
+            vectors.append(AlgebraElement._raw(group, {x: 1, y: -1}))
     return span_dimension(vectors)

@@ -19,7 +19,6 @@ sweep holds one pair's worth of vectors at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import algebra, parabolic
@@ -302,21 +301,20 @@ def averaging_image_check(group: WeylGroup, J, K) -> VerificationReport:
     compared with the (W_J, W_K) coset count; the kernel dimension is
     checked against the explicit independent family
     delta_x - delta_{min_rep(x)}, which row reduction must size at
-    |W| - #cosets.
+    |W| - #cosets.  When a vector is not fixed, ``detail["first_unfixed"]``
+    names the min rep of the first such coset.
     """
     ctx = pair_context(group, J, K)
     basis = ctx.invariant
     e_j, e_k = ctx.e_j, ctx.e_k
-    fixed = all(e_k * v * e_j == v for v in basis.vectors)
-    one, minus_one = Fraction(1), Fraction(-1)
+    unfixed = next((v for v in basis.vectors if e_k * v * e_j != v), None)
+    fixed = unfixed is None
     kernel_family = []
     for coset in ctx.dec_kj.cosets:
         rep = coset.min_rep.index
         for w in coset.elements:
             if w.index != rep:
-                kernel_family.append(
-                    AlgebraElement._raw(group, {w.index: one, rep: minus_one})
-                )
+                kernel_family.append(AlgebraElement._raw(group, {w.index: 1, rep: -1}))
     kernel = algebra.span_dimension(kernel_family)
     expected = len(ctx.dec_jk)
     computed = basis.dimension
@@ -325,17 +323,21 @@ def averaging_image_check(group: WeylGroup, J, K) -> VerificationReport:
         and computed == expected
         and kernel.dimension == group.order - computed
     )
+    detail = {
+        "kernel_dim": kernel.dimension,
+        "order": group.order,
+        "basis_fixed_by_projector": fixed,
+    }
+    if not fixed:
+        rep = ctx.dec_kj.coset_of(unfixed.support[0]).min_rep
+        detail["first_unfixed"] = word_name(rep.canonical_word)
     return VerificationReport(
         claim=f"averaging-image J={_fmt(ctx.J)} K={_fmt(ctx.K)}",
         expected=expected,
         computed=computed,
         passed=passed,
         witness=basis,
-        detail={
-            "kernel_dim": kernel.dimension,
-            "order": group.order,
-            "basis_fixed_by_projector": fixed,
-        },
+        detail=detail,
     )
 
 

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as hyp
@@ -60,6 +62,66 @@ def test_invalid_keys_rejected():
     with pytest.raises(ValueError):
         AlgebraElement(g, {"x": 0})
     assert AlgebraElement(g, {g.order - 1: 1}).support == (g.elements[-1],)
+
+
+def test_coefficients_must_be_exact():
+    g = _group("A2")
+    v = delta(g.identity)
+    for value in [0.1, 0.0, 1.0, "1/3", True, False, None, Decimal("0.5")]:
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            AlgebraElement(g, {0: value})
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            v.scale(value)
+    with pytest.raises(ValueError, match="True"):
+        v * True
+    with pytest.raises(TypeError):
+        v * 0.5
+    w = AlgebraElement(g, {0: 3, 1: Fraction(-1, 3), 2: 0, 3: Fraction(0)})
+    assert w.items() == [(g.elements[0], 3), (g.elements[1], Fraction(-1, 3))]
+    assert v.scale(0) == v.scale(Fraction(0)) == zero(g)
+
+
+def _assert_canonical(v):
+    assert v._d > 0 and gcd(v._d, *v._n.values()) == 1
+    assert all(v._n.values())
+    assert v._n or v._d == 1
+
+
+def test_canonical_form_any_route():
+    rng = random.Random(5)
+    for name in ["B2", "G2", "A3"]:
+        g = _group(name)
+        e = delta(g.identity)
+        for _ in range(40):
+            support = rng.sample(range(g.order), rng.randrange(0, 6))
+            coeffs = {x: _random_rational(rng) or Fraction(1, 7) for x in support}
+            k = rng.randrange(2, 5)
+            # Fraction(k*a, k*b) with k > 1, e.g. Fraction(2, 4)
+            doubled = {x: Fraction(k * q.numerator, k * q.denominator)
+                       for x, q in coeffs.items()}
+            a = AlgebraElement(g, coeffs)
+            den = lcm(*(q.denominator for q in coeffs.values()))
+            integral = AlgebraElement(g, {x: int(q * den) for x, q in coeffs.items()})
+            b = AlgebraElement(g, {x: _random_rational(rng)
+                                   for x in rng.sample(range(g.order), 3)})
+            routes = [
+                AlgebraElement(g, doubled),
+                integral.scale(Fraction(1, den)),
+                Fraction(1, k) * a.scale(k),
+                a * e,
+                e.scale(Fraction(1, k)) * a.scale(k),
+                a + b - b,
+                -(-a),
+                biact(g.identity, g.identity, a),
+            ]
+            for v in routes:
+                assert v == a and hash(v) == hash(a)
+                assert (v._n, v._d) == (a._n, a._d)
+            assert dict(a.items()) == {g.elements[x]: q for x, q in coeffs.items()}
+            assert a - a == zero(g) and hash(a - a) == hash(zero(g))
+            for v in [a, b, integral, a * b, b * a, a - b, a.scale(_random_rational(rng)),
+                      a - a, *routes]:
+                _assert_canonical(v)
 
 
 def test_foreign_element_rejected():

@@ -1,7 +1,14 @@
 from __future__ import annotations
 
 import oracles as orc
-from steinberg import algebra, cartan_from_name, enumerate_weyl, parabolic, root_system
+from steinberg import (
+    algebra,
+    cartan_from_name,
+    enumerate_weyl,
+    parabolic,
+    root_system,
+    varieties,
+)
 from steinberg.parabolic import double_cosets, maximal_reps
 from steinberg.varieties import (
     averaging_image_check,
@@ -204,6 +211,23 @@ def test_averaging_image_check_examples():
     r = averaging_image_check(g, [0], [1])
     assert (r.expected, r.computed) == (2, 2)
     assert r.detail["kernel_dim"] == 4
+
+
+def test_averaging_image_check_names_first_unfixed_vector():
+    g = _group("B2")  # a fresh group, so the context below is this pair's own
+    J, K = [], [0]
+    assert "first_unfixed" not in averaging_image_check(g, J, K).detail
+    ctx = varieties.pair_context(g, J, K)
+    ctx.e_j = ctx.e_k  # a wrong right projector: e_{s1} in place of e_J = 1
+    try:
+        r = averaging_image_check(g, J, K)
+    finally:
+        varieties._pair_context.cache_clear()
+    assert not r.passed
+    assert r.detail["basis_fixed_by_projector"] is False
+    # (W_K, W_J) cosets by min rep: e, s2, s2s1, s2s1s2; the second is not fixed
+    assert r.detail["first_unfixed"] == "s2"
+    assert averaging_image_check(_group("B2"), J, K).passed
 
 
 def test_averaging_image_check_sweep():
