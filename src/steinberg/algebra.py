@@ -29,8 +29,9 @@ class AlgebraElement:
     is one positive denominator, with ``gcd(_d, *_n.values()) == 1`` (so
     ``_d == 1`` for zero).  The form is canonical, so equal elements have
     equal fields.  Keys may be elements of the same group or enumeration
-    indices in range(group.order), values ints or Fractions; anything else
-    raises ValueError.  Instances are immutable: all operations return new
+    indices in range(group.order), values ints or Fractions; anything else,
+    or one element given twice (as itself and as its index), raises
+    ValueError.  Instances are immutable: all operations return new
     elements.
     """
 
@@ -53,8 +54,9 @@ class AlgebraElement:
                         f"coefficient key {key!r} is neither an element of this "
                         f"group nor an index in range({group.order})"
                     )
-                if _exact(value):
-                    clean[key] = value
+                if key in clean:
+                    raise ValueError(f"coefficient key for index {key} given twice")
+                clean[key] = _exact(value)
         d = lcm(*{q.denominator for q in clean.values()})
         self.group = group
         self._n, self._d = _lowest(
@@ -285,21 +287,27 @@ class _Reducer:
         self.pivots: dict[int, dict[int, int]] = {}
 
     def insert(self, num: dict[int, int]) -> bool:
-        """Reduce a copy of a row; returns True when it enlarges the span."""
-        row = dict(num)
+        """Reduce a row; returns True when it enlarges the span.
+
+        ``num`` is copied on its first elimination, never modified, and
+        stored as it is when it takes a fresh pivot with content 1.
+        """
+        row = num
         pivots = self.pivots
         while row:
             p = max(row)
             piv = pivots.get(p)
             if piv is None:
                 g = gcd(*row.values())
-                pivots[p] = {k: v // g for k, v in row.items()}
+                pivots[p] = row if g == 1 else {k: v // g for k, v in row.items()}
                 return True
             a, b = row[p], piv[p]
             g = gcd(a, b)
             a, b = a // g, b // g
             if b != 1:
                 row = {k: b * v for k, v in row.items()}
+            elif row is num:
+                row = dict(num)
             for k, v in piv.items():
                 s = row.get(k, 0) - a * v
                 if s:

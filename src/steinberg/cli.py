@@ -28,7 +28,6 @@ from .rootsys import (
     enumerate_weyl,
     root_system,
     validate_cartan,
-    word_name,
 )
 from . import parabolic, varieties
 # table rows read varieties.pair_context; these names stay importable from
@@ -93,6 +92,8 @@ def _load_group(args):
             raise ParseError(f"cannot read {args.cartan}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON in {args.cartan}: {exc}") from exc
+        except RecursionError as exc:
+            raise ParseError(f"JSON in {args.cartan} is nested too deeply") from exc
         if not isinstance(payload, dict) or "matrix" not in payload:
             raise ParseError(f"{args.cartan} must contain a 'matrix' key")
         datum = validate_cartan(payload["matrix"], payload.get("labels"))
@@ -133,12 +134,13 @@ def _fmt_subset(subset) -> str:
     return ",".join(str(i) for i in subset) if subset else "-"
 
 
+def _markdown_row(cells) -> str:
+    return "| " + " | ".join(str(c) for c in cells) + " |"
+
+
 def _markdown(headers, rows) -> str:
-    lines = ["| " + " | ".join(headers) + " |",
-             "| " + " | ".join("---" for _ in headers) + " |"]
-    for row in rows:
-        lines.append("| " + " | ".join(str(c) for c in row) + " |")
-    return "\n".join(lines) + "\n"
+    lines = [headers, ["---"] * len(headers), *rows]
+    return "\n".join(map(_markdown_row, lines)) + "\n"
 
 
 def _csv(headers, rows) -> str:
@@ -192,34 +194,52 @@ def _run_table(args, datum, roots, group, pairs) -> tuple[str, int]:
 
 def _run_components(args, datum, roots, group, pairs) -> tuple[str, int]:
     tag = datum.type_name or "custom"
-    as_json = args.format == "json"
-    rows = []
-    for J, K in pairs:
-        if as_json:
-            j_out, k_out = list(J), list(K)
-        else:
-            j_out, k_out = _fmt_subset(J), _fmt_subset(K)
-        for comp in varieties.y_components(group, J, K):
-            label = word_name(comp.label.canonical_word) or "e"
-            if as_json:
-                rows.append({
-                    "type": tag, "J": j_out, "K": k_out, "label": label,
-                    "dim_Zw": comp.dim_zw, "dim_Yw": comp.dim_yw,
-                    "eta_dim_preserved": comp.eta_dim_preserved,
-                })
-            else:
-                rows.append([
-                    tag, j_out, k_out, label,
-                    comp.dim_zw, comp.dim_yw, _bool(comp.eta_dim_preserved),
-                ])
-    if as_json:
-        text = json.dumps({"schema": SCHEMA, "command": "components",
-                           "rows": rows}, indent=2) + "\n"
-    elif args.format == "csv":
-        text = _csv(COMPONENT_COLUMNS, rows)
+    fmt = args.format
+    if fmt == "json":
+        # the bytes of json.dumps({"schema", "command", "rows"}, indent=2)
+        opening = f'{{\n  "schema": "{SCHEMA}",\n  "command": "components",\n  "rows": [\n'
+        sep, closing = ",\n", "\n  ]\n}\n"
     else:
-        text = _markdown(COMPONENT_COLUMNS, rows)
-    return text, EXIT_OK
+        opening = (_csv if fmt == "csv" else _markdown)(COMPONENT_COLUMNS, [])
+        sep = closing = "\n"
+    parts = [opening]
+    quote = json.dumps if fmt == "json" else str
+    labels: dict[int, str] = {}  # element index -> rendered label, on first use
+    for J, K in pairs:
+        comps = varieties.y_components(group, J, K)
+        # Y is equidimensional, so only the label and eta vary within a pair
+        head, mid, tail = _component_row_parts(fmt, tag, J, K, comps[0])
+        ends = {eta: mid + _bool(eta) + tail + sep for eta in (False, True)}
+        for comp in comps:
+            label = labels.get(comp.label.index)
+            if label is None:
+                label = labels[comp.label.index] = quote(comp.label.name)
+            parts += (head, label, ends[comp.eta_dim_preserved])
+    parts[-1] = parts[-1].removesuffix(sep) + closing
+    return "".join(parts), EXIT_OK
+
+
+_LABEL, _ETA = "\x00label", "\x00eta"  # placeholders; no cell can hold them
+
+
+def _component_row_parts(fmt, tag, J, K, comp) -> tuple[str, str, str]:
+    """A pair's component row rendered once, split around label and eta.
+
+    Names (s1s2..., e) need no csv quoting and eta is true/false in every
+    format, so a row is head + label + mid + eta + tail.
+    """
+    subsets = [list(J), list(K)] if fmt == "json" else [_fmt_subset(J), _fmt_subset(K)]
+    cells = [tag, *subsets, _LABEL, comp.dim_zw, comp.dim_yw, _ETA]
+    if fmt == "json":
+        text = json.dumps(dict(zip(COMPONENT_COLUMNS, cells)), indent=2)
+        # re-indented to the depth of an item of "rows"
+        text = "    " + text.replace("\n", "\n    ")
+        text = text.replace(json.dumps(_LABEL), _LABEL).replace(json.dumps(_ETA), _ETA)
+    else:
+        text = _csv(cells, [])[:-1] if fmt == "csv" else _markdown_row(cells)
+    head, rest = text.split(_LABEL)
+    mid, tail = rest.split(_ETA)
+    return head, mid, tail
 
 
 def _run_verify(args, datum, roots, group, pairs) -> tuple[str, int]:

@@ -3,7 +3,8 @@
 For simple subsets J and K, each (W_J, W_K) double coset contains a unique
 element of minimal length (no left descents in J, no right descents in K)
 and a unique element of maximal length (all of them are descents).  Both
-are reached greedily from any member.
+are reached greedily from any member (``_ascend`` is the index-level
+ascent, which ``varieties.y_components`` applies to each minimal element).
 
 The decomposition is one pass over W in enumeration order: an element
 that is not minimal has a left descent in J or a right descent in K, and
@@ -140,23 +141,27 @@ def min_double_coset_rep(w: WeylElement, J, K) -> WeylElement:
 def max_double_coset_rep(w: WeylElement, J, K) -> WeylElement:
     """Maximal-length element of W_J w W_K, by greedy ascent."""
     group = w.group
-    subJ = _normalize_subset(group.rank, J)
-    subK = _normalize_subset(group.rank, K)
-    x = w.index
+    mask_j = sum(1 << j for j in _normalize_subset(group.rank, J))
+    mask_k = sum(1 << k for k in _normalize_subset(group.rank, K))
+    return group.elements[_ascend(group, w.index, mask_j, mask_k)]
+
+
+def _ascend(group: WeylGroup, x: int, mask_j: int, mask_k: int) -> int:
+    """Index of the maximal element of W_J x W_K, J and K as bit masks.
+
+    Each step multiplies by s_j for the lowest j in J that is not a left
+    descent, else by s_k for the lowest k in K that is not a right descent.
+    """
+    rdesc, inv, left, right = group._rdesc, group._inv, group._left, group._right
     while True:
-        left = group.left_descent_mask(x)
-        for j in subJ:
-            if not left >> j & 1:
-                x = group.left_index(x, j)
-                break
-        else:
-            right = group.right_descent_mask(x)
-            for k in subK:
-                if not right >> k & 1:
-                    x = group.right_index(x, k)
-                    break
-            else:
-                return group.elements[x]
+        up = mask_j & ~rdesc[inv[x]]
+        if up:
+            x = left[(up & -up).bit_length() - 1][x]
+            continue
+        up = mask_k & ~rdesc[x]
+        if not up:
+            return x
+        x = right[(up & -up).bit_length() - 1][x]
 
 
 def is_minimal_in_double_coset(w: WeylElement, J, K) -> bool:

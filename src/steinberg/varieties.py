@@ -137,33 +137,28 @@ def steinberg_components(group: WeylGroup) -> tuple[ComponentReport, ...]:
 def y_components(group: WeylGroup, J, K) -> tuple[ComponentReport, ...]:
     """Components of Y: one per maximal (W_J, W_K)-coset representative.
 
-    Each has dimension dim_flag_p + dim_flag_q = dim_y (Y is
-    equidimensional); the flag records whether the labeling element is
-    minimal in its coset, i.e. whether the projection from Z preserved the
-    dimension of the component it came from.
+    The minimal representatives (no left descent in J, no right descent in
+    K) are kept in one pass over W, so they come in coset order, and each is
+    lifted to its coset's maximum by greedy ascent.  Each component has
+    dimension dim_flag_p + dim_flag_q = dim_y (Y is equidimensional); the
+    flag records whether the labeling element is minimal in its coset, i.e.
+    whether the projection from Z preserved the dimension of the component
+    it came from.
     """
-    dec = parabolic.double_cosets(group, J, K)
-    profile = pair_profile(group.roots, dec.J, dec.K)
+    profile = pair_profile(group.roots, J, K)
     dim_z = 2 * group.roots.n_positive
     dim_y = profile.dim_flag_p + profile.dim_flag_q
-    # minimal in W_J m W_K: no left descent in J and no right descent in K
-    mask_j = sum(1 << j for j in dec.J)
-    mask_k = sum(1 << k for k in dec.K)
+    mask_j = sum(1 << j for j in profile.J)
+    mask_k = sum(1 << k for k in profile.K)
+    rdesc, inv, elements = group._rdesc, group._inv, group.elements
     out = []
-    for coset in dec.cosets:
-        m = coset.max_rep
-        minimal = not (
-            group.left_descent_mask(m.index) & mask_j
-            or group.right_descent_mask(m.index) & mask_k
-        )
-        out.append(
-            ComponentReport(
-                label=m,
-                dim_zw=dim_z,
-                dim_yw=dim_y,
-                eta_dim_preserved=minimal,
-            )
-        )
+    for x in range(group.order):
+        if rdesc[x] & mask_k or rdesc[inv[x]] & mask_j:
+            continue
+        m = parabolic._ascend(group, x, mask_j, mask_k)
+        # minimal in W_J m W_K: no left descent in J and no right descent in K
+        minimal = not (rdesc[inv[m]] & mask_j or rdesc[m] & mask_k)
+        out.append(ComponentReport(elements[m], dim_z, dim_y, minimal))
     return tuple(out)
 
 

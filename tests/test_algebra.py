@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as hyp
 
 import oracles as orc
-from steinberg import InvalidSubset, MixedGroups, cartan_from_name, enumerate_weyl, root_system
+from steinberg import (
+    InvalidSubset, MixedGroups, algebra, cartan_from_name, enumerate_weyl, root_system,
+)
 from steinberg.algebra import (
     AlgebraElement,
     anti_invariant_basis,
@@ -62,6 +64,17 @@ def test_invalid_keys_rejected():
     with pytest.raises(ValueError):
         AlgebraElement(g, {"x": 0})
     assert AlgebraElement(g, {g.order - 1: 1}).support == (g.elements[-1],)
+
+
+def test_duplicate_keys_rejected():
+    g = _group("A2")
+    s1 = g.simple[0]
+    # an element and its index name the same basis vector, whatever the values
+    for coeffs in [{g.identity: 1, 0: 2}, {g.identity: 1, 0: 0},
+                   {0: 0, g.identity: 1}, {s1.index: Fraction(1, 2), s1: -1}]:
+        with pytest.raises(ValueError, match="twice"):
+            AlgebraElement(g, coeffs)
+    assert AlgebraElement(g, {g.identity: 1, s1.index: 2}) == delta(g.identity) + 2 * delta(s1)
 
 
 def test_coefficients_must_be_exact():
@@ -331,6 +344,23 @@ def test_span_dimension_keeps_exactly_rank_raising_vectors():
             basis = span_dimension(vs)
             assert [id(v) for v in basis.vectors] == [id(vs[i]) for i in want]
             assert basis.dimension == len(want) == orc.dense_rank(vs, g.order)
+
+
+def test_span_dimension_leaves_inputs_unchanged():
+    g = _group("A2")
+    # v2 and v3 are eliminated against stored rows with the pivot entry 1,
+    # the case that takes no scaled copy of the row
+    v1 = AlgebraElement(g, {0: 1, 1: 1})
+    v2 = AlgebraElement(g, {0: 3, 1: 1})
+    v3 = v1 + v2
+    rng = random.Random(17)
+    for vs in [[v1, v2, v3]] + [_random_family(rng, g) for _ in range(40)]:
+        before = [dict(v._n) for v in vs]
+        span_dimension(vs)
+        assert [v._n for v in vs] == before
+    # a row taking a fresh pivot with content 1 is stored without a copy
+    reducer = algebra._Reducer()
+    assert reducer.insert(v1._n) and reducer.pivots[1] is v1._n
 
 
 def _naive_product(g, a, b, index_map):

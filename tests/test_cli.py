@@ -230,6 +230,16 @@ def test_cartan_file_malformed_payload(tmp_path, capsys, payload):
     assert "Traceback" not in err
 
 
+def test_cartan_file_nested_past_recursion_limit(tmp_path, capsys):
+    depth = 100_000
+    path = tmp_path / "deep.json"
+    path.write_text('{"matrix": ' + "[" * depth + "]" * depth + "}")
+    code, out, err = run(capsys, ["components", "--cartan", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.csv"
     code, out, _ = run(capsys, ["table", "--type", "A2", "--p", "0", "--q", "1",
@@ -287,8 +297,20 @@ def test_console_script_installed():
 
 # frozen: stdout sha256 of every table/verify format on four types with
 # --all-pairs, recorded from the implementation before the per-pair context;
-# the components digests were recorded before the integer-numerator algebra
+# the A2/B3/G2/D4 components digests were recorded before the
+# integer-numerator algebra, the F4 and --cartan ones before the components
+# path lifted min reps to max reps by greedy ascent
 CORPUS_SHA256 = {
+    ("components", "F4", "markdown"):
+        "13dc286b33b12cad6e1fa0ec5256e69a7f953168451bc39065c46a2870132c71",
+    ("components", "F4", "csv"):
+        "46ea0d5735fdcf512d0d80deaecefdebe17eb0210e36b556e48b4d3f4e2e5483",
+    ("components", "F4", "json"):
+        "180b8c9285b81d8981b64783fe67f775e97a9e1043c09bfbbfd5ad7b84780b2c",
+    ("components", "cartan-A1xA2", "csv"):
+        "24a4b847c0d350b1000215730b09ad850416732af63c3ced60ce73b6a5a5cf1d",
+    ("components", "cartan-A1xA2", "json"):
+        "b29e3d999d4596410e8762a7b1962e629d2df06530643b2f031af8ef0862deef",
     ("components", "A2", "markdown"):
         "14b504e12e6129b8be6b9ba20383f61a2c574cbd97168fc9f01c724fb5e0d7cf",
     ("components", "A2", "csv"):
@@ -364,10 +386,23 @@ CORPUS_SHA256 = {
 }
 
 
+# corpus names read from a --cartan file: matrix and pair selection; the
+# reducible A1xA2 with K = {1, 2} puts a quoted "1,2" cell in the csv
+CARTAN_CORPUS = {
+    "cartan-A1xA2": ([[2, 0, 0], [0, 2, -1], [0, -1, 2]], ["--p", "0", "--q", "1,2"]),
+}
+
+
 @pytest.mark.parametrize("command,name,fmt", sorted(CORPUS_SHA256))
-def test_cli_bytes_frozen_corpus(capsys, command, name, fmt):
-    code, out, err = run(capsys, [command, "--type", name, "--all-pairs",
-                                  "--format", fmt])
+def test_cli_bytes_frozen_corpus(tmp_path, capsys, command, name, fmt):
+    if name in CARTAN_CORPUS:
+        matrix, selection = CARTAN_CORPUS[name]
+        path = tmp_path / "cartan.json"
+        path.write_text(json.dumps({"matrix": matrix}))
+        source = ["--cartan", str(path), *selection]
+    else:
+        source = ["--type", name, "--all-pairs"]
+    code, out, err = run(capsys, [command, *source, "--format", fmt])
     assert code == 0 and err == ""
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == CORPUS_SHA256[command, name, fmt]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pytest
+
 import oracles as orc
 from steinberg import (
     algebra,
@@ -134,6 +136,19 @@ def test_y_components_equidimensional():
                 # dimension is preserved exactly for singleton cosets
                 for c, coset in zip(comps, double_cosets(g, J, K).cosets):
                     assert c.eta_dim_preserved == (coset.size == 1)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "D4", "F4", "D5"])
+def test_y_components_match_double_cosets(name):
+    # y_components lifts min reps by greedy ascent and never builds the
+    # decomposition, so double_cosets is an independent oracle for it
+    g = _group(name)
+    for J in orc.all_subsets(g.rank):
+        for K in orc.all_subsets(g.rank):
+            comps = y_components(g, J, K)
+            cosets = double_cosets(g, J, K).cosets
+            assert [c.label for c in comps] == [c.max_rep for c in cosets]
+            assert [c.eta_dim_preserved for c in comps] == [c.size == 1 for c in cosets]
 
 
 def test_verify_invariant_examples():
