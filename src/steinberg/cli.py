@@ -206,15 +206,16 @@ def _run_components(args, datum, roots, group, pairs) -> tuple[str, int]:
     quote = json.dumps if fmt == "json" else str
     labels: dict[int, str] = {}  # element index -> rendered label, on first use
     for J, K in pairs:
-        comps = varieties.y_components(group, J, K)
+        pair = varieties.pair_profile(roots, J, K)
         # Y is equidimensional, so only the label and eta vary within a pair
-        head, mid, tail = _component_row_parts(fmt, tag, J, K, comps[0])
+        head, mid, tail = _component_row_parts(fmt, tag, J, K, pair.dim_x, pair.dim_y)
         ends = {eta: mid + _bool(eta) + tail + sep for eta in (False, True)}
-        for comp in comps:
-            label = labels.get(comp.label.index)
+        # index-level rows: the y_components reports would cost more than the text
+        for m, eta in varieties._component_reps(group, pair.J, pair.K):
+            label = labels.get(m)
             if label is None:
-                label = labels[comp.label.index] = quote(comp.label.name)
-            parts += (head, label, ends[comp.eta_dim_preserved])
+                label = labels[m] = quote(group.elements[m].name)
+            parts += (head, label, ends[eta])
     parts[-1] = parts[-1].removesuffix(sep) + closing
     return "".join(parts), EXIT_OK
 
@@ -222,14 +223,14 @@ def _run_components(args, datum, roots, group, pairs) -> tuple[str, int]:
 _LABEL, _ETA = "\x00label", "\x00eta"  # placeholders; no cell can hold them
 
 
-def _component_row_parts(fmt, tag, J, K, comp) -> tuple[str, str, str]:
+def _component_row_parts(fmt, tag, J, K, dim_z, dim_y) -> tuple[str, str, str]:
     """A pair's component row rendered once, split around label and eta.
 
     Names (s1s2..., e) need no csv quoting and eta is true/false in every
     format, so a row is head + label + mid + eta + tail.
     """
     subsets = [list(J), list(K)] if fmt == "json" else [_fmt_subset(J), _fmt_subset(K)]
-    cells = [tag, *subsets, _LABEL, comp.dim_zw, comp.dim_yw, _ETA]
+    cells = [tag, *subsets, _LABEL, dim_z, dim_y, _ETA]
     if fmt == "json":
         text = json.dumps(dict(zip(COMPONENT_COLUMNS, cells)), indent=2)
         # re-indented to the depth of an item of "rows"

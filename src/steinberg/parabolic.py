@@ -2,9 +2,12 @@
 
 For simple subsets J and K, each (W_J, W_K) double coset contains a unique
 element of minimal length (no left descents in J, no right descents in K)
-and a unique element of maximal length (all of them are descents).  Both
-are reached greedily from any member (``_ascend`` is the index-level
-ascent, which ``varieties.y_components`` applies to each minimal element).
+and a unique element of maximal length (all of them are descents).  The
+minimum is reached greedily from any member.  The maximum over a minimal x
+is top_J[x·w_K], read from the group's per-subset tables (``_left_top``
+and ``_right_quotient``, built on first use): it is (w_J·w_I)·x·w_K with
+lengths adding, I = J ∩ xKx^-1, so it is the longest element of W_J·x·w_K
+(Björner–Brenti, *Combinatorics of Coxeter Groups*, ch. 2).
 
 The decomposition is one pass over W in enumeration order: an element
 that is not minimal has a left descent in J or a right descent in K, and
@@ -119,49 +122,30 @@ def double_cosets(group: WeylGroup, J, K) -> DoubleCosetDecomposition:
 def min_double_coset_rep(w: WeylElement, J, K) -> WeylElement:
     """Minimal-length element of W_J w W_K, by greedy descent removal."""
     group = w.group
-    subJ = _normalize_subset(group.rank, J)
-    subK = _normalize_subset(group.rank, K)
+    mask_j, mask_k = _mask(group.rank, J), _mask(group.rank, K)
     x = w.index
     while True:
-        left = group.left_descent_mask(x)
-        for j in subJ:
-            if left >> j & 1:
-                x = group.left_index(x, j)
-                break
-        else:
-            right = group.right_descent_mask(x)
-            for k in subK:
-                if right >> k & 1:
-                    x = group.right_index(x, k)
-                    break
-            else:
-                return group.elements[x]
+        down = group.left_descent_mask(x) & mask_j
+        if down:
+            x = group.left_index(x, (down & -down).bit_length() - 1)
+            continue
+        down = group.right_descent_mask(x) & mask_k
+        if not down:
+            return group.elements[x]
+        x = group.right_index(x, (down & -down).bit_length() - 1)
 
 
 def max_double_coset_rep(w: WeylElement, J, K) -> WeylElement:
-    """Maximal-length element of W_J w W_K, by greedy ascent."""
+    """Maximal-length element of W_J w W_K: top_J[x·w_K] for its min rep x."""
     group = w.group
-    mask_j = sum(1 << j for j in _normalize_subset(group.rank, J))
-    mask_k = sum(1 << k for k in _normalize_subset(group.rank, K))
-    return group.elements[_ascend(group, w.index, mask_j, mask_k)]
+    x = min_double_coset_rep(w, J, K).index
+    top = group._left_top(_mask(group.rank, J))
+    return group.elements[top[group._right_quotient(_mask(group.rank, K))[x][1]]]
 
 
-def _ascend(group: WeylGroup, x: int, mask_j: int, mask_k: int) -> int:
-    """Index of the maximal element of W_J x W_K, J and K as bit masks.
-
-    Each step multiplies by s_j for the lowest j in J that is not a left
-    descent, else by s_k for the lowest k in K that is not a right descent.
-    """
-    rdesc, inv, left, right = group._rdesc, group._inv, group._left, group._right
-    while True:
-        up = mask_j & ~rdesc[inv[x]]
-        if up:
-            x = left[(up & -up).bit_length() - 1][x]
-            continue
-        up = mask_k & ~rdesc[x]
-        if not up:
-            return x
-        x = right[(up & -up).bit_length() - 1][x]
+def _mask(rank: int, J) -> int:
+    """Bit mask of a subset of the simple reflections; raises InvalidSubset."""
+    return sum(1 << j for j in _normalize_subset(rank, J))
 
 
 def is_minimal_in_double_coset(w: WeylElement, J, K) -> bool:
@@ -171,13 +155,11 @@ def is_minimal_in_double_coset(w: WeylElement, J, K) -> bool:
     for J = {s}, K = empty this reads sw > w.
     """
     group = w.group
-    subJ = _normalize_subset(group.rank, J)
-    subK = _normalize_subset(group.rank, K)
-    left = group.left_descent_mask(w.index)
-    if any(left >> j & 1 for j in subJ):
-        return False
-    right = group.right_descent_mask(w.index)
-    return not any(right >> k & 1 for k in subK)
+    mask_j, mask_k = _mask(group.rank, J), _mask(group.rank, K)
+    return not (
+        group.left_descent_mask(w.index) & mask_j
+        or group.right_descent_mask(w.index) & mask_k
+    )
 
 
 def maximal_reps(group: WeylGroup, J, K) -> tuple[WeylElement, ...]:

@@ -304,15 +304,17 @@ class RootSystem:
     the simple roots come first as alpha_1, ..., alpha_r.  ``simple_perms``
     records each simple reflection as a signed permutation of the positive
     roots: entry ``j`` means root ``j``, entry ``~j`` means its negative.
+    ``_supports`` holds each positive root's support as a bit mask.
     """
 
-    __slots__ = ("datum", "positive", "simple_perms", "_index")
+    __slots__ = ("datum", "positive", "simple_perms", "_index", "_supports")
 
     def __init__(self, datum: CartanDatum):
         self.datum = datum
         coords = _closure(datum.matrix, DEFAULT_ROOT_CAP)
         self.positive: tuple[Root, ...] = tuple(Root(c) for c in coords)
         self._index = {c: k for k, c in enumerate(coords)}
+        self._supports = tuple(sum(1 << i for i, c in enumerate(b) if c) for b in coords)
         matrix = datum.matrix
         rank = datum.rank
         perms = []
@@ -442,7 +444,9 @@ class WeylGroup:
     enumeration.  The full product table (groups of order at most
     ``_PRODUCT_TABLE_LIMIT``) is built on the first product (``product_row``
     or ``product_index``), so callers that never multiply two arbitrary
-    elements never pay for it.
+    elements never pay for it.  The per-subset coset tables (``_left_top``
+    and ``_right_quotient``, keyed by the subset's bit mask) are likewise
+    built on first use, at most one per subset and side.
     """
 
     __slots__ = (
@@ -459,6 +463,8 @@ class WeylGroup:
         "_parent",
         "_last",
         "_table",
+        "_tops",
+        "_quotients",
         "identity",
         "simple",
     )
@@ -525,6 +531,8 @@ class WeylGroup:
         ]
 
         self._table = None
+        self._tops: dict[int, list[int]] = {}
+        self._quotients: dict[int, dict[int, tuple[int, int]]] = {}
 
         self.elements: tuple[WeylElement, ...] = tuple(
             WeylElement(self, x, words[x], perms[x]) for x in range(order)
@@ -568,6 +576,37 @@ class WeylGroup:
                 row[y] = right[last[y]][row[parent[y]]]
             table.append(row)
         return table
+
+    def _left_top(self, mask: int) -> list[int]:
+        """``top[y]`` is the longest element of W_J·y, J as a bit mask.
+
+        Filled in reverse enumeration order: for the lowest j in J that is
+        not a left descent of y, s_j·y is longer, so its entry is filled.
+        """
+        top = self._tops.get(mask)
+        if top is None:
+            rdesc, inv, left = self._rdesc, self._inv, self._left
+            top = self._tops[mask] = list(range(self.order))
+            for y in range(self.order - 1, -1, -1):
+                up = mask & ~rdesc[inv[y]]
+                if up:
+                    top[y] = top[left[(up & -up).bit_length() - 1][y]]
+        return top
+
+    def _right_quotient(self, mask: int) -> dict[int, tuple[int, int]]:
+        """W^K in enumeration order, K as a bit mask: x -> (left descents, x·w_K).
+
+        x·w_K, the top of x·W_K, is the inverse of the top of W_K·x^-1.
+        """
+        quotient = self._quotients.get(mask)
+        if quotient is None:
+            rdesc, inv, top = self._rdesc, self._inv, self._left_top(mask)
+            quotient = self._quotients[mask] = {
+                x: (rdesc[inv[x]], inv[top[inv[x]]])
+                for x in range(self.order)
+                if not rdesc[x] & mask
+            }
+        return quotient
 
     def inverse_index(self, x: int) -> int:
         return self._inv[x]

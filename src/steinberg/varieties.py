@@ -92,12 +92,8 @@ def geometry_profile(roots: RootSystem) -> GeometryProfile:
 
 def parabolic_length(roots: RootSystem, J) -> int:
     """Positive roots supported on J = length of the longest element of W_J."""
-    subset = set(parabolic.normalize_subset(roots.rank, J))
-    count = 0
-    for root in roots.positive:
-        if all(c == 0 or i in subset for i, c in enumerate(root.coords)):
-            count += 1
-    return count
+    mask = parabolic._mask(roots.rank, J)
+    return sum(1 for support in roots._supports if not support & ~mask)
 
 
 def pair_profile(roots: RootSystem, J, K) -> PairProfile:
@@ -137,29 +133,31 @@ def steinberg_components(group: WeylGroup) -> tuple[ComponentReport, ...]:
 def y_components(group: WeylGroup, J, K) -> tuple[ComponentReport, ...]:
     """Components of Y: one per maximal (W_J, W_K)-coset representative.
 
-    The minimal representatives (no left descent in J, no right descent in
-    K) are kept in one pass over W, so they come in coset order, and each is
-    lifted to its coset's maximum by greedy ascent.  Each component has
-    dimension dim_flag_p + dim_flag_q = dim_y (Y is equidimensional); the
-    flag records whether the labeling element is minimal in its coset, i.e.
-    whether the projection from Z preserved the dimension of the component
-    it came from.
+    The labels come from ``_component_reps``, which reads the group's
+    per-subset coset tables.  Each component has dimension dim_flag_p +
+    dim_flag_q = dim_y (Y is equidimensional); the flag records whether the
+    labeling element is minimal in its coset, i.e. whether the projection
+    from Z preserved the dimension of the component it came from.
     """
     profile = pair_profile(group.roots, J, K)
-    dim_z = 2 * group.roots.n_positive
-    dim_y = profile.dim_flag_p + profile.dim_flag_q
-    mask_j = sum(1 << j for j in profile.J)
-    mask_k = sum(1 << k for k in profile.K)
-    rdesc, inv, elements = group._rdesc, group._inv, group.elements
-    out = []
-    for x in range(group.order):
-        if rdesc[x] & mask_k or rdesc[inv[x]] & mask_j:
-            continue
-        m = parabolic._ascend(group, x, mask_j, mask_k)
-        # minimal in W_J m W_K: no left descent in J and no right descent in K
-        minimal = not (rdesc[inv[m]] & mask_j or rdesc[m] & mask_k)
-        out.append(ComponentReport(elements[m], dim_z, dim_y, minimal))
-    return tuple(out)
+    elements = group.elements
+    return tuple(
+        ComponentReport(elements[m], profile.dim_x, profile.dim_y, eta)
+        for m, eta in _component_reps(group, profile.J, profile.K)
+    )
+
+
+def _component_reps(group: WeylGroup, J, K) -> list[tuple[int, bool]]:
+    """(max rep index, eta) per (W_J, W_K) double coset, J and K normalized.
+
+    The min reps are the entries x of W^K with no left descent in J, in
+    coset order; each max rep is top_J[x·w_K].  eta: the max rep is minimal.
+    """
+    mask_j, mask_k = sum(1 << j for j in J), sum(1 << k for k in K)
+    top, rdesc, inv = group._left_top(mask_j), group._rdesc, group._inv
+    quotient = group._right_quotient(mask_k).values()
+    tops = [top[xw] for left, xw in quotient if not left & mask_j]
+    return [(m, not (rdesc[inv[m]] & mask_j or rdesc[m] & mask_k)) for m in tops]
 
 
 class PairContext:
@@ -259,13 +257,15 @@ def hotta_verification(group: WeylGroup, s: int) -> VerificationReport:
     """Three counts that must agree for a simple reflection s.
 
     Half the group order, the dimension of the right -1 eigenspace of s,
-    and the number of elements with sw < w; additionally the descent set
-    must be exactly the complement of the minimal ({s}, empty)-coset
-    representatives.  All four checks feed ``passed``.
+    and the number of elements with l(sw) < l(w); additionally that descent
+    set must be exactly the complement of the minimal ({s}, empty)-coset
+    representatives, which read the descent table.  All four checks feed
+    ``passed``.
     """
     half = group.order // 2
     eigen = algebra.right_sign_eigenspace(group, s)
-    descents = [w for w in group.elements if group.is_left_descent(s, w)]
+    length, left = group._length, group._left[s]
+    descents = [w for w in group.elements if length[left[w.index]] < length[w.index]]
     nonminimal = [
         w
         for w in group.elements

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as hyp
 
 from steinberg import cli, varieties
 from steinberg.algebra import SubspaceBasis
@@ -181,6 +184,40 @@ def test_order_cap(capsys):
     assert code == 0
 
 
+# digits, separators, signs, and non-ASCII digits: Arabic-Indic three (int() reads
+# it as 3), fullwidth one (1) and superscript two (int() rejects it)
+_FUZZ_TEXT = hyp.text(alphabet="0123456789, +-\u0663\uff11\u00b2", max_size=8)
+_FUZZ_CAP = hyp.one_of(
+    hyp.integers(min_value=-3, max_value=12).map(str),
+    hyp.integers(min_value=-10**30, max_value=10**30).map(str),
+    _FUZZ_TEXT,
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    command=hyp.sampled_from(["components", "table"]),
+    name=hyp.sampled_from(["A2", "B2"]),
+    p=hyp.none() | _FUZZ_TEXT,
+    q=hyp.none() | _FUZZ_TEXT,
+    cap=hyp.none() | _FUZZ_CAP,
+)
+def test_cli_boundary_fuzz(command, name, p, q, cap):
+    argv = [command, "--type", name]
+    for flag, value in (("--p", p), ("--q", q), ("--order-cap", cap)):
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejecting an option value
+            code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")
+
+
 def test_cartan_file(tmp_path, capsys):
     path = tmp_path / "cartan.json"
     path.write_text(json.dumps({"matrix": [[2, -1], [-1, 2]]}))
@@ -299,8 +336,15 @@ def test_console_script_installed():
 # --all-pairs, recorded from the implementation before the per-pair context;
 # the A2/B3/G2/D4 components digests were recorded before the
 # integer-numerator algebra, the F4 and --cartan ones before the components
-# path lifted min reps to max reps by greedy ascent
+# path lifted min reps to max reps by greedy ascent, the B4 ones before it
+# read them from per-subset coset tables
 CORPUS_SHA256 = {
+    ("components", "B4", "markdown"):
+        "91641609071db90d7d41f4947eeaf15d2bc558ee2ec74d2eca8d2e1b61d8b802",
+    ("components", "B4", "csv"):
+        "837d7eadc8706126cd25c69ccb4f23000411b694eaf2cf822f4cc703107d974f",
+    ("components", "B4", "json"):
+        "f4e0928c6c79b5b0a6a842958c3ab7bc4e8db4d00d76356d042c67dc27ed0776",
     ("components", "F4", "markdown"):
         "13dc286b33b12cad6e1fa0ec5256e69a7f953168451bc39065c46a2870132c71",
     ("components", "F4", "csv"):

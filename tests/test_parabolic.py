@@ -181,6 +181,39 @@ def test_greedy_reps_d4_sampled():
         assert max_double_coset_rep(w, J, K) == c.max_rep
 
 
+@pytest.mark.parametrize("name", ["B3", "D4", "F4"])
+def test_coset_tables_match_permutation_oracle(name):
+    # lengths, descents, products and parabolics all from root permutations
+    g = _group(name)
+    index_map = orc.perm_index_map(g)
+    length = [sum(1 for img in w.root_perm if img < 0) for w in g.elements]
+    simple = [s.index for s in g.simple]
+
+    def mul(x, y):
+        return orc.perm_mul(g, x, y, index_map)
+
+    for J in orc.all_subsets(g.rank):
+        mask = sum(1 << j for j in J)
+        WJ = orc.brute_parabolic(g, J)
+        top = g._left_top(mask)
+        placed = set()
+        for y in range(g.order):
+            if y not in placed:
+                coset = {mul(u, y) for u in WJ}
+                placed |= coset
+                longest = max(coset, key=length.__getitem__)
+                assert {top[z] for z in coset} == {longest}
+        # the same subset on the right: W^J, each x with its left descents and x·w_J
+        w_J = max(WJ, key=length.__getitem__)
+        expected = [
+            (x, (sum(1 << i for i, s in enumerate(simple) if length[mul(s, x)] < length[x]),
+                 mul(x, w_J)))
+            for x in range(g.order)
+            if all(length[mul(x, simple[j])] > length[x] for j in J)
+        ]
+        assert list(g._right_quotient(mask).items()) == expected
+
+
 def test_minimality_criterion_single_reflection():
     # J = {s}, K = empty: minimal iff sw > w, for every type incl. F4
     for name in ["A2", "B2", "D4", "F4"]:

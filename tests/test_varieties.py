@@ -138,9 +138,25 @@ def test_y_components_equidimensional():
                     assert c.eta_dim_preserved == (coset.size == 1)
 
 
+def test_components_sweep_builds_one_table_per_subset_and_side():
+    g = _group("D5")
+    subsets = orc.all_subsets(g.rank)
+    tables = None
+    for _ in range(2):
+        for J in subsets:
+            for K in subsets:
+                y_components(g, J, K)
+        built = [(mask, id(t)) for side in (g._tops, g._quotients) for mask, t in side.items()]
+        # keyed by subset mask, every subset on each side, none rebuilt on the second sweep
+        assert tables in (None, built)
+        tables = built
+    assert set(g._tops) == set(g._quotients) == set(range(1 << g.rank))
+    assert g._table is None
+
+
 @pytest.mark.parametrize("name", ["A3", "B3", "G2", "D4", "F4", "D5"])
 def test_y_components_match_double_cosets(name):
-    # y_components lifts min reps by greedy ascent and never builds the
+    # y_components reads the per-subset coset tables and never builds the
     # decomposition, so double_cosets is an independent oracle for it
     g = _group(name)
     for J in orc.all_subsets(g.rank):
@@ -210,6 +226,21 @@ def test_hotta_verification():
             rep = hotta_verification(h, s)
             assert rep.passed
             assert rep.expected == rep.computed == h.order // 2
+
+
+def test_hotta_descent_side_is_not_the_descent_table():
+    g = _group("B3")  # a private group: its descent table is corrupted below
+    s = 0
+    left = [g.left_descent_mask(x) for x in range(g.order)]
+    descent = next(x for x in range(g.order) if left[x] >> s & 1)
+    ascent = next(x for x in range(g.order) if not left[x] >> s & 1)
+    for x in (descent, ascent):
+        # swap bit s between the two, so the count of descents stays |W|/2
+        g._rdesc[g._inv[x]] ^= 1 << s
+    r = hotta_verification(g, s)
+    assert r.detail["descent_count"] == g.order // 2
+    assert r.detail["descent_set_is_nonminimal_set"] is False
+    assert not r.passed
 
 
 def test_averaging_image_check_examples():
