@@ -4,7 +4,7 @@ Subcommands: ``table`` (dimension/coset rows per parabolic pair),
 ``components`` (component inventories), ``verify`` (exact verification
 reports, exit 1 on any failure).  Subsets on the command line are 0-based;
 rendered names s1, s2, ... are 1-based.  Output is deterministic:
-identical configs produce identical bytes.
+identical configs produce identical bytes, written pair by pair.
 """
 
 from __future__ import annotations
@@ -13,7 +13,12 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
+from collections import Counter
+from collections.abc import Iterator
+from contextlib import nullcontext, suppress
+from itertools import chain
 
 from .errors import (
     InvalidSubset,
@@ -102,219 +107,218 @@ def _load_group(args):
     return datum, roots, group
 
 
-def _parse_subset(text: str | None, rank: int) -> tuple[int, ...]:
+def _parse_subset(text: str | list | None, rank: int) -> tuple[int, ...]:
+    if isinstance(text, list):  # argparse reads --p=-- as [], dropping the "--"
+        text = "--"
     if text is None or text.strip() == "":
         return ()
-    parts = [p.strip() for p in text.split(",")]
     try:
-        indices = [int(p) for p in parts]
+        indices = [int(p) for p in text.split(",")]  # int() strips whitespace
     except ValueError:
         raise InvalidSubset(f"subset {text!r} is not a comma-separated integer list")
     return parabolic.normalize_subset(rank, indices)
 
 
-def _all_subsets(rank: int) -> list[tuple[int, ...]]:
+def _resolve_pairs(args, rank: int):
+    """The (J, K) pairs to run, and whether verify adds the Hotta checks."""
+    hotta = getattr(args, "hotta", False)
     # binary-counting order: {}, {0}, {1}, {0,1}, {2}, ...
-    return [
-        tuple(i for i in range(rank) if mask >> i & 1)
-        for mask in range(1 << rank)
-    ]
-
-
-def _resolve_pairs(args, rank: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    subsets = [tuple(i for i in range(rank) if mask >> i & 1) for mask in range(1 << rank)]
+    every = [(J, K) for J in subsets for K in subsets]
     if args.all_pairs:
-        subsets = _all_subsets(rank)
-        return [(J, K) for J in subsets for K in subsets]
-    if args.p is None and args.q is None:
-        return []
-    return [(_parse_subset(args.p, rank), _parse_subset(args.q, rank))]
+        return every, hotta
+    if args.p is not None or args.q is not None:
+        return [(_parse_subset(args.p, rank), _parse_subset(args.q, rank))], hotta
+    if args.command != "verify":
+        return [((), ())], False  # the Borel case
+    return ([] if hotta else every), True  # verify with no selection sweeps everything
 
 
-def _fmt_subset(subset) -> str:
-    return ",".join(str(i) for i in subset) if subset else "-"
+def _cell(value) -> str:
+    """A csv or markdown cell: true/false, a subset as 0,2 or -, else str."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(str(i) for i in value) if value else "-"
+    return str(value)
 
 
-def _markdown_row(cells) -> str:
-    return "| " + " | ".join(str(c) for c in cells) + " |"
+def _json_item(value) -> str:
+    """json.dumps(value, indent=2) at the depth of an item of the document's list."""
+    return "    " + json.dumps(value, indent=2).replace("\n", "\n    ")
 
 
-def _markdown(headers, rows) -> str:
-    lines = [headers, ["---"] * len(headers), *rows]
-    return "\n".join(map(_markdown_row, lines)) + "\n"
-
-
-def _csv(headers, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(headers)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
-
-
-def _run_table(args, datum, roots, group, pairs) -> tuple[str, int]:
-    tag = datum.type_name or "custom"
-    profile = varieties.geometry_profile(roots)
-    as_json = args.format == "json"
-    rows = []
-    for J, K in pairs:
-        pair = varieties.pair_profile(roots, J, K)
-        ctx = varieties.pair_context(group, J, K)
-        cosets = len(ctx.dec_jk)
-        inv = ctx.invariant.dimension
-        anti = ctx.anti_invariant.dimension
-        passed = inv == cosets and anti == cosets
-        if as_json:
-            rows.append({
-                "type": tag, "J": list(J), "K": list(K),
-                "n": profile.n, "d": profile.d, "l": profile.l, "f": pair.f,
-                "dimX": pair.dim_x, "dimY": pair.dim_y,
-                "cosets": cosets, "inv_dim": inv, "anti_dim": anti,
-                "passed": passed,
-            })
-        else:
-            rows.append([
-                tag, _fmt_subset(J), _fmt_subset(K),
-                profile.n, profile.d, profile.l, pair.f,
-                pair.dim_x, pair.dim_y, cosets, inv, anti, _bool(passed),
-            ])
-    if as_json:
-        text = json.dumps({"schema": SCHEMA, "command": "table", "rows": rows},
-                          indent=2) + "\n"
-    elif args.format == "csv":
-        text = _csv(TABLE_COLUMNS, rows)
-    else:
-        text = _markdown(TABLE_COLUMNS, rows)
-    return text, EXIT_OK
-
-
-def _run_components(args, datum, roots, group, pairs) -> tuple[str, int]:
-    tag = datum.type_name or "custom"
-    fmt = args.format
+def _row(fmt, columns, cells) -> str:
+    """One row without its line end: a JSON item, or a csv or markdown line."""
     if fmt == "json":
-        # the bytes of json.dumps({"schema", "command", "rows"}, indent=2)
-        opening = f'{{\n  "schema": "{SCHEMA}",\n  "command": "components",\n  "rows": [\n'
-        sep, closing = ",\n", "\n  ]\n}\n"
-    else:
-        opening = (_csv if fmt == "csv" else _markdown)(COMPONENT_COLUMNS, [])
-        sep = closing = "\n"
-    parts = [opening]
-    quote = json.dumps if fmt == "json" else str
-    labels: dict[int, str] = {}  # element index -> rendered label, on first use
-    for J, K in pairs:
-        pair = varieties.pair_profile(roots, J, K)
-        # Y is equidimensional, so only the label and eta vary within a pair
-        head, mid, tail = _component_row_parts(fmt, tag, J, K, pair.dim_x, pair.dim_y)
-        ends = {eta: mid + _bool(eta) + tail + sep for eta in (False, True)}
-        # index-level rows: the y_components reports would cost more than the text
-        for m, eta in varieties._component_reps(group, pair.J, pair.K):
-            label = labels.get(m)
-            if label is None:
-                label = labels[m] = quote(group.elements[m].name)
-            parts += (head, label, ends[eta])
-    parts[-1] = parts[-1].removesuffix(sep) + closing
-    return "".join(parts), EXIT_OK
+        return _json_item(dict(zip(columns, cells)))
+    cells = [_cell(c) for c in cells]
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="").writerow(cells)
+        return buf.getvalue()
+    return "| " + " | ".join(cells) + " |"
+
+
+_ITEMS = "\x00items"  # the rows of a JSON envelope; no cell can hold it
+_SLOT = f"\n    {json.dumps(_ITEMS)}\n  "  # its list [_ITEMS], as json.dumps renders it
+
+
+def _document(fmt, envelope, columns, batches) -> Iterator[str]:
+    """The document in pieces: its opening, one piece per pair, its closing.
+
+    ``batches`` yields each pair's rows and is advanced only once the piece
+    before was written, so one pair's rows are alive at a time.  JSON is
+    json.dumps(envelope, indent=2) with the rows in place of [_ITEMS] (no row
+    leaves []), dumped again for the closing, so counts the pieces update show
+    there.  Csv and markdown open with a header of ``columns``, if given.
+    """
+    if fmt != "json":
+        if columns:
+            header = [columns] if fmt == "csv" else [columns, ["---"] * len(columns)]
+            yield "".join(_row(fmt, columns, cells) + "\n" for cells in header)
+        for rows in batches:
+            yield "".join(row + "\n" for row in rows)
+        return
+    yield json.dumps(envelope, indent=2).split(_SLOT)[0]
+    lead = "\n"
+    for rows in batches:
+        yield lead + ",\n".join(rows)
+        lead = ",\n"
+    closing = json.dumps(envelope, indent=2).split(_SLOT)[1]
+    yield ("\n  " if lead == ",\n" else "") + closing + "\n"
+
+
+def _table_doc(fmt, tag, roots, group, pairs) -> Iterator[str]:
+    profile = varieties.geometry_profile(roots)
+
+    def batches():
+        for J, K in pairs:
+            pair = varieties.pair_profile(roots, J, K)
+            ctx = varieties.pair_context(group, J, K)
+            cosets = len(ctx.dec_jk)
+            inv = ctx.invariant.dimension
+            anti = ctx.anti_invariant.dimension
+            yield [_row(fmt, TABLE_COLUMNS, [
+                tag, J, K, profile.n, profile.d, profile.l, pair.f,
+                pair.dim_x, pair.dim_y, cosets, inv, anti,
+                inv == cosets and anti == cosets,
+            ])]
+
+    envelope = {"schema": SCHEMA, "command": "table", "rows": [_ITEMS]}
+    return _document(fmt, envelope, TABLE_COLUMNS, batches())
 
 
 _LABEL, _ETA = "\x00label", "\x00eta"  # placeholders; no cell can hold them
 
 
-def _component_row_parts(fmt, tag, J, K, dim_z, dim_y) -> tuple[str, str, str]:
-    """A pair's component row rendered once, split around label and eta.
+def _components_doc(fmt, tag, roots, group, pairs) -> Iterator[str]:
+    sep = ",\n" if fmt == "json" else "\n"
+    quote = json.dumps if fmt == "json" else str
+    labels: dict[int, str] = {}  # element index -> rendered label, on first use
 
-    Names (s1s2..., e) need no csv quoting and eta is true/false in every
-    format, so a row is head + label + mid + eta + tail.
+    def batches():
+        for J, K in pairs:
+            pair = varieties.pair_profile(roots, J, K)
+            # Y is equidimensional, so only the label and eta vary within a
+            # pair: its row is rendered once, as head + label + mid + eta + tail
+            # (names s1s2..., e need no csv quoting; eta is true/false everywhere)
+            row = _row(fmt, COMPONENT_COLUMNS, [tag, J, K, _LABEL, pair.dim_x, pair.dim_y, _ETA])
+            head, rest = row.split(quote(_LABEL))
+            mid, tail = rest.split(quote(_ETA))
+            ends = {eta: mid + _cell(eta) + tail + sep for eta in (False, True)}
+            parts = []
+            # index-level rows: the y_components reports would cost more than the text
+            for m, eta in varieties._component_reps(group, pair.J, pair.K):
+                label = labels.get(m)
+                if label is None:
+                    label = labels[m] = quote(group.elements[m].name)
+                parts += (head, label, ends[eta])
+            parts[-1] = parts[-1].removesuffix(sep)
+            yield ["".join(parts)]  # every row in one string, joined as _document joins rows
+
+    envelope = {"schema": SCHEMA, "command": "components", "rows": [_ITEMS]}
+    return _document(fmt, envelope, COMPONENT_COLUMNS, batches())
+
+
+def _verify_doc(fmt, tag, group, pairs, hotta, tally: Counter) -> Iterator[str]:
+    """The verify document; ``tally`` counts the reports written, passed
+    before failed, and is the JSON summary."""
+
+    def render(r):
+        if fmt == "json":
+            return _json_item(varieties.report_jsonable(r))
+        if fmt == "csv":
+            return _row(fmt, VERIFY_COLUMNS, [tag, r.claim, r.expected, r.computed, r.passed])
+        status = "PASS" if r.passed else "FAIL"
+        return f"{status} {r.claim}: expected {r.expected}, computed {r.computed}"
+
+    def batches():
+        checks = ([varieties.verify_invariant_isomorphism(group, J, K),
+                   varieties.verify_anti_invariant_isomorphism(group, J, K),
+                   varieties.averaging_image_check(group, J, K)] for J, K in pairs)
+        if hotta:
+            checks = chain(checks, (
+                [varieties.hotta_verification(group, s)] for s in range(group.rank)))
+        for reports in checks:
+            yield [render(r) for r in reports]
+            # reached when the next piece is asked for, so once this one is written
+            tally.update("passed" if r.passed else "failed" for r in reports)
+
+    envelope = {"schema": SCHEMA, "command": "verify", "type": tag,
+                "reports": [_ITEMS], "summary": tally}
+    yield from _document(fmt, envelope, VERIFY_COLUMNS if fmt == "csv" else None, batches())
+    if fmt == "markdown":
+        yield "summary: {passed} passed, {failed} failed\n".format_map(tally)
+
+
+def _stream(doc, path) -> str | None:
+    """Write the document to ``path``, or to stdout; the error if a write failed.
+
+    A reader that closed the pipe is no error: the sweep just stops there.
     """
-    subsets = [list(J), list(K)] if fmt == "json" else [_fmt_subset(J), _fmt_subset(K)]
-    cells = [tag, *subsets, _LABEL, dim_z, dim_y, _ETA]
-    if fmt == "json":
-        text = json.dumps(dict(zip(COMPONENT_COLUMNS, cells)), indent=2)
-        # re-indented to the depth of an item of "rows"
-        text = "    " + text.replace("\n", "\n    ")
-        text = text.replace(json.dumps(_LABEL), _LABEL).replace(json.dumps(_ETA), _ETA)
-    else:
-        text = _csv(cells, [])[:-1] if fmt == "csv" else _markdown_row(cells)
-    head, rest = text.split(_LABEL)
-    mid, tail = rest.split(_ETA)
-    return head, mid, tail
-
-
-def _run_verify(args, datum, roots, group, pairs) -> tuple[str, int]:
-    tag = datum.type_name or "custom"
-    hotta = getattr(args, "hotta", False)
-    if not pairs and not hotta and not args.all_pairs:
-        # no explicit selection: sweep everything
-        subsets = _all_subsets(group.rank)
-        pairs = [(J, K) for J in subsets for K in subsets]
-        hotta = True
-    reports = []
-    for J, K in pairs:
-        reports.append(varieties.verify_invariant_isomorphism(group, J, K))
-        reports.append(varieties.verify_anti_invariant_isomorphism(group, J, K))
-        reports.append(varieties.averaging_image_check(group, J, K))
-    if hotta:
-        for s in range(group.rank):
-            reports.append(varieties.hotta_verification(group, s))
-    n_passed = sum(1 for r in reports if r.passed)
-    n_failed = len(reports) - n_passed
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "command": "verify",
-            "type": tag,
-            "reports": [varieties.report_jsonable(r) for r in reports],
-            "summary": {"passed": n_passed, "failed": n_failed},
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    elif args.format == "csv":
-        rows = [[tag, r.claim, r.expected, r.computed, _bool(r.passed)]
-                for r in reports]
-        text = _csv(VERIFY_COLUMNS, rows)
-    else:
-        lines = []
-        for r in reports:
-            status = "PASS" if r.passed else "FAIL"
-            lines.append(
-                f"{status} {r.claim}: expected {r.expected}, computed {r.computed}"
-            )
-        lines.append(f"summary: {n_passed} passed, {n_failed} failed")
-        text = "\n".join(lines) + "\n"
-    return text, EXIT_OK if n_failed == 0 else EXIT_VERIFY_FAILED
+    try:
+        with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
+            for piece in doc:
+                out.write(piece)
+            out.flush()
+    except OSError as exc:
+        if not path:
+            # point stdout's descriptor, if it has one, at /dev/null, so that the
+            # interpreter's flush at exit finds no error in the bytes still buffered
+            with suppress(AttributeError, OSError, ValueError):
+                fd = sys.stdout.fileno()
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            return f"cannot write {path or 'stdout'}: {exc}"
+    return None
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # every input is checked before --out is opened and before the first byte
     try:
         datum, roots, group = _load_group(args)
-        pairs = _resolve_pairs(args, group.rank)
-        if not pairs and args.command in ("table", "components"):
-            pairs = [((), ())]
-        if args.command == "table":
-            text, code = _run_table(args, datum, roots, group, pairs)
-        elif args.command == "components":
-            text, code = _run_components(args, datum, roots, group, pairs)
-        else:
-            text, code = _run_verify(args, datum, roots, group, pairs)
-    except (ParseError, NotGeneralizedCartan, NotFiniteType, OrderCapExceeded) as exc:
+        pairs, hotta = _resolve_pairs(args, group.rank)
+    except (InvalidSubset, ParseError, NotGeneralizedCartan, NotFiniteType,
+            OrderCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    except InvalidSubset as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_SUBSET
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_PARSE_ERROR
+        return EXIT_INVALID_SUBSET if isinstance(exc, InvalidSubset) else EXIT_PARSE_ERROR
+    tag = datum.type_name or "custom"
+    tally = Counter(passed=0, failed=0)  # verify reports written
+    if args.command == "table":
+        doc = _table_doc(args.format, tag, roots, group, pairs)
+    elif args.command == "components":
+        doc = _components_doc(args.format, tag, roots, group, pairs)
     else:
-        sys.stdout.write(text)
-    return code
+        doc = _verify_doc(args.format, tag, group, pairs, hotta, tally)
+    error = _stream(doc, args.out)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
+    return EXIT_VERIFY_FAILED if tally["failed"] else EXIT_OK
 
 
 if __name__ == "__main__":

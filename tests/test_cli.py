@@ -1,9 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
+import errno
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as hyp
@@ -172,6 +180,9 @@ def test_bad_subsets_exit_3(capsys):
         code, _, err = run(capsys, ["table", "--type", "A2", "--p", p, "--q", "1"])
         assert code == 3, p
         assert err.startswith("error:")
+    # argparse hands "--p=--" over as an empty list, not as the text "--"
+    code, _, err = run(capsys, ["table", "--type", "A2", "--p=--", "--q", "1"])
+    assert code == 3 and err == "error: subset '--' is not a comma-separated integer list\n"
 
 
 def test_order_cap(capsys):
@@ -297,7 +308,7 @@ def test_deterministic_output(capsys):
     assert first == second
 
 
-def test_out_file_unwritable(tmp_path, capsys):
+def test_out_file_unwritable(tmp_path, capsys, monkeypatch):
     target = tmp_path / "missing-dir" / "report.md"
     code, out, err = run(capsys, ["table", "--type", "A2", "--p", "0", "--q", "1",
                                   "--out", str(target)])
@@ -305,6 +316,157 @@ def test_out_file_unwritable(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert not target.exists()
+
+    # the file is opened before the sweep: no pair is computed for nothing
+    def refuse(*args):
+        raise AssertionError("a pair was computed before --out was opened")
+
+    monkeypatch.setattr(varieties, "pair_context", refuse)
+    monkeypatch.setattr(varieties, "_component_reps", refuse)
+    for command in ("table", "components", "verify"):
+        code, out, err = run(capsys, [command, "--type", "D4", "--all-pairs",
+                                      "--out", str(target)])
+        assert code == 2 and out == "", command
+        assert err.startswith(f"error: cannot write {target}: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["table", "components", "verify"])
+@pytest.mark.parametrize("selection,expected", [
+    (["--type", "A2", "--p", "9"], 3),
+    (["--type", "Z9"], 2),
+])
+def test_bad_input_leaves_out_file_untouched(tmp_path, capsys, command, selection, expected):
+    target = tmp_path / "report.md"
+    target.write_bytes(b"an earlier report\n")
+    code, out, err = run(capsys, [command, *selection, "--out", str(target)])
+    assert code == expected and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert target.read_bytes() == b"an earlier report\n"
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def cli_child(argv, **kwargs):
+    """``python -m steinberg.cli argv`` in a child process, stderr piped."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.Popen([sys.executable, "-m", "steinberg.cli", *argv],
+                            env=env, stderr=subprocess.PIPE, **kwargs)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command", ["table", "components", "verify"])
+def test_full_device_exits_2_with_one_error_line(capsys, command):
+    code, out, err = run(capsys, [command, "--type", "A2", "--out", "/dev/full"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write /dev/full: ") and len(err.splitlines()) == 1
+
+    with open("/dev/full", "w") as full:
+        child = cli_child([command, "--type", "A2"], stdout=full)
+        _, err = child.communicate(timeout=120)
+    err = err.decode()
+    assert child.returncode == 2, err
+    assert err.startswith("error: cannot write stdout: ") and len(err.splitlines()) == 1
+
+
+def test_closed_stdout_ends_the_sweep_quietly():
+    child = cli_child(["components", "--type", "D5", "--all-pairs"], stdout=subprocess.PIPE)
+    try:
+        assert len(child.stdout.read(100)) == 100
+        child.stdout.close()
+        _, err = child.communicate(timeout=120)
+    finally:
+        child.kill()
+        child.wait()
+    assert child.returncode == 0 and err == b""
+
+
+class Sink(io.TextIOBase):
+    """A stdout that records the size of each write and hashes what it gets.
+
+    It keeps the text only if asked to; from write ``closed_at`` on it acts
+    as a pipe whose reader has gone.
+    """
+
+    def __init__(self, keep=False, closed_at=None):
+        self.sizes, self.parts, self.keep, self.closed_at = [], [], keep, closed_at
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        if len(self.sizes) == self.closed_at:
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        self.sizes.append(len(text))
+        self.digest.update(text.encode("utf-8"))
+        if self.keep:
+            self.parts.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("closed_at,expected", [(0, 0), (1, 1)])
+def test_closed_stdout_exit_code_counts_written_reports(capsys, monkeypatch, closed_at, expected):
+    real = varieties.verify_invariant_isomorphism
+    calls = Counter()
+
+    def first_pair_fails(group, J, K):
+        calls[J, K] += 1
+        report = real(group, J, K)
+        return dataclasses.replace(report, passed=False) if (J, K) == ((), ()) else report
+
+    monkeypatch.setattr(varieties, "verify_invariant_isomorphism", first_pair_fails)
+    monkeypatch.setattr(sys, "stdout", Sink(closed_at=closed_at))
+    # markdown verify writes one piece per pair; the first pair's holds the failure
+    code, _, err = run(capsys, ["verify", "--type", "A1", "--all-pairs"])
+    assert code == expected and err == ""
+    # the sweep stopped at the write that failed
+    assert sum(calls.values()) == closed_at + 1
+
+
+# stdout sha256 of B4 --all-pairs --format json, recorded before the output
+# was streamed, when each document was one json.dumps
+B4_JSON_SHA256 = {
+    "table": "5e6ac23e127ca15538c9f31721c462c812104173e511b9aebff8bb0cea01a746",
+    "components": "f4e0928c6c79b5b0a6a842958c3ab7bc4e8db4d00d76356d042c67dc27ed0776",
+    "verify": "a75c37109eb942306e692c2d481ca7de1725cfd3d99258c8f65231ff7d150b35",
+}
+
+
+@pytest.mark.parametrize("command", sorted(B4_JSON_SHA256))
+def test_output_streams_pair_by_pair(monkeypatch, command):
+    sink = Sink(keep=True)
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert cli.main([command, "--type", "B4", "--all-pairs", "--format", "json"]) == 0
+    out = "".join(sink.parts)
+    assert sink.digest.hexdigest() == B4_JSON_SHA256[command]
+    document = json.loads(out)
+    assert json.dumps(document, indent=2) + "\n" == out
+    # each pair's rows, as the whole document renders them, joined by ",\n"
+    pair_sizes = Counter()
+    for row in document["reports" if command == "verify" else "rows"]:
+        pair = row["claim"].partition(" J=")[2] if command == "verify" else (row["J"], row["K"])
+        item = "    " + json.dumps(row, indent=2).replace("\n", "\n    ")
+        pair_sizes[str(pair)] += len(item) + 2
+    assert len(pair_sizes) == 256 and len(sink.sizes) >= 256
+    opening = out[:out.index("[") + 1]
+    assert max(sink.sizes) <= len(opening) + max(pair_sizes.values())
+
+
+def test_components_sweep_peak_stays_below_its_output(monkeypatch):
+    sink = Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = cli.main(["components", "--type", "B4", "--all-pairs", "--format", "json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.digest.hexdigest() == B4_JSON_SHA256["components"]
+    assert peak < sum(sink.sizes), (peak, sum(sink.sizes))
+
+
+def test_empty_json_list_renders_as_json_dumps():
+    envelope = {"schema": cli.SCHEMA, "command": "table", "rows": [cli._ITEMS]}
+    text = "".join(cli._document("json", envelope, cli.TABLE_COLUMNS, iter(())))
+    assert text == json.dumps({**envelope, "rows": []}, indent=2) + "\n"
 
 
 def test_console_script_installed():
