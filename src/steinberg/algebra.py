@@ -12,9 +12,9 @@ here rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import InvalidSubset, MixedGroups
 from .parabolic import double_cosets, parabolic_elements
@@ -165,7 +165,8 @@ class AlgebraElement:
 
     def to_jsonable(self) -> dict[str, str]:
         """Canonical word -> coefficient string, identity rendered as ""."""
-        return {word_name(w.canonical_word): str(q) for w, q in self.items()}
+        names, num, d = self.group.word_names(), self._n, self._d
+        return {names[x]: str(Fraction(num[x], d)) for x in sorted(num)}
 
 
 def _exact(q) -> int | Fraction:
@@ -257,8 +258,7 @@ def sign_average(J, K, v: AlgebraElement) -> AlgebraElement:
     return sign_idempotent(group, K) * v * sign_idempotent(group, J)
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
+class SubspaceBasis(NamedTuple):
     """An exactly verified independent family and its span dimension."""
 
     vectors: tuple[AlgebraElement, ...]

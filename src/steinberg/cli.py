@@ -102,6 +102,8 @@ def _load_group(args):
         if not isinstance(payload, dict) or "matrix" not in payload:
             raise ParseError(f"{args.cartan} must contain a 'matrix' key")
         datum = validate_cartan(payload["matrix"], payload.get("labels"))
+    if isinstance(args.order_cap, list):  # argparse reads --order-cap=-- as []
+        raise ParseError("argument --order-cap: invalid int value: '--'")
     roots = root_system(datum)
     group = enumerate_weyl(roots, order_cap=args.order_cap)
     return datum, roots, group

@@ -16,7 +16,7 @@ the shorter neighbour across it is an earlier element of the same coset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import MixedGroups
 from .rootsys import WeylElement, WeylGroup, word_name, _normalize_subset
@@ -42,8 +42,7 @@ def parabolic_elements(group: WeylGroup, J) -> tuple[WeylElement, ...]:
     return tuple(group.elements[x] for x in sorted(seen))
 
 
-@dataclass(frozen=True)
-class DoubleCoset:
+class DoubleCoset(NamedTuple):
     """One (W_J, W_K) double coset, elements in enumeration order."""
 
     elements: tuple[WeylElement, ...]
@@ -55,18 +54,19 @@ class DoubleCoset:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
 class DoubleCosetDecomposition:
     """Partition of W into (W_J, W_K) double cosets.
 
     Cosets are ordered by their minimal representative (length, then lex on
     the canonical word), i.e. by enumeration index of min_rep.
+    ``J`` and ``K`` are normalized subsets; ``_coset_index[x]`` is the
+    position in ``cosets`` of the coset of the element with index x.
     """
 
-    J: tuple[int, ...]
-    K: tuple[int, ...]
-    cosets: tuple[DoubleCoset, ...]
-    _coset_index: list[int] = field(repr=False, compare=False, default_factory=list)
+    __slots__ = ("J", "K", "cosets", "_coset_index")
+
+    def __init__(self, J, K, cosets: tuple[DoubleCoset, ...], coset_index: list[int]):
+        self.J, self.K, self.cosets, self._coset_index = J, K, cosets, coset_index
 
     def coset_of(self, w: WeylElement) -> DoubleCoset:
         return self.cosets[self._coset_index[w.index]]
@@ -114,9 +114,7 @@ def double_cosets(group: WeylGroup, J, K) -> DoubleCosetDecomposition:
     for xs in members:
         elems = tuple(map(at, xs))
         cosets.append(DoubleCoset(elements=elems, min_rep=elems[0], max_rep=elems[-1]))
-    return DoubleCosetDecomposition(
-        J=subJ, K=subK, cosets=tuple(cosets), _coset_index=tags
-    )
+    return DoubleCosetDecomposition(subJ, subK, tuple(cosets), tags)
 
 
 def min_double_coset_rep(w: WeylElement, J, K) -> WeylElement:

@@ -1,17 +1,21 @@
 """Finite root systems and Weyl groups built from Cartan matrices.
 
 Roots are integer coefficient vectors over the simple roots.  A Weyl group
-element is stored as a signed permutation of the positive roots, so Coxeter
-length is the number of positive roots sent negative and descent tests are
-single table lookups.  Enumeration is breadth-first by length with
-lexicographic tie-breaking on the minimal reduced word; every downstream
-index (cosets, algebra coefficients, report rows) inherits that order.
+is enumerated as the orbit of rho (Casselman, "Machine calculations in Weyl
+groups", 1994): w is keyed by w^-1 rho in fundamental-weight coordinates,
+a rank-length integer tuple, so s_i is a right descent of w exactly when
+coordinate i is negative, and w·s_i has the key reflected in alpha_i.  Only
+the keys of the frontier are formed; what the group keeps are index tables
+(right and left multiplication by s_i, inverse, descents, lengths).
+Enumeration is breadth-first by length with lexicographic tie-breaking on
+the minimal reduced word; every downstream index (cosets, algebra
+coefficients, report rows) inherits that order.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     InvalidSubset,
@@ -26,12 +30,11 @@ DEFAULT_ORDER_CAP = 51840
 DEFAULT_ROOT_CAP = 1200
 
 # Full multiplication tables are only materialized up to this group order,
-# on the first product; larger groups compose root permutations per product.
+# on the first product; larger groups fold a canonical word per product.
 _PRODUCT_TABLE_LIMIT = 2500
 
 
-@dataclass(frozen=True)
-class CartanDatum:
+class CartanDatum(NamedTuple):
     """A validated Cartan matrix with display labels for the simple roots."""
 
     matrix: tuple[tuple[int, ...], ...]
@@ -43,8 +46,7 @@ class CartanDatum:
         return len(self.matrix)
 
 
-@dataclass(frozen=True, order=True)
-class Root:
+class Root(NamedTuple):
     """Integer coefficient vector over the simple roots."""
 
     coords: tuple[int, ...]
@@ -301,36 +303,17 @@ class RootSystem:
     """Positive roots of a finite type Cartan matrix, in a fixed order.
 
     The order is by height, then reverse-lexicographic on coordinates, so
-    the simple roots come first as alpha_1, ..., alpha_r.  ``simple_perms``
-    records each simple reflection as a signed permutation of the positive
-    roots: entry ``j`` means root ``j``, entry ``~j`` means its negative.
-    ``_supports`` holds each positive root's support as a bit mask.
+    the simple roots come first as alpha_1, ..., alpha_r.  ``_supports``
+    holds each positive root's support as a bit mask.
     """
 
-    __slots__ = ("datum", "positive", "simple_perms", "_index", "_supports")
+    __slots__ = ("datum", "positive", "_supports")
 
     def __init__(self, datum: CartanDatum):
         self.datum = datum
         coords = _closure(datum.matrix, DEFAULT_ROOT_CAP)
         self.positive: tuple[Root, ...] = tuple(Root(c) for c in coords)
-        self._index = {c: k for k, c in enumerate(coords)}
         self._supports = tuple(sum(1 << i for i, c in enumerate(b) if c) for b in coords)
-        matrix = datum.matrix
-        rank = datum.rank
-        perms = []
-        for i in range(rank):
-            images = []
-            for beta in coords:
-                pairing = sum(matrix[i][j] * beta[j] for j in range(rank))
-                c = beta[i] - pairing
-                gamma = beta[:i] + (c,) + beta[i + 1 :]
-                if c >= 0:
-                    images.append(self._index[gamma])
-                else:
-                    neg = tuple(-x for x in gamma)
-                    images.append(~self._index[neg])
-            perms.append(tuple(images))
-        self.simple_perms: tuple[tuple[int, ...], ...] = tuple(perms)
 
     @property
     def rank(self) -> int:
@@ -354,33 +337,34 @@ def positive_roots(datum: CartanDatum) -> tuple[Root, ...]:
     return RootSystem(datum).positive
 
 
-def _compose(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
-    # signed permutation composition: apply inner first, then outer
-    return tuple(outer[j] if j >= 0 else ~outer[~j] for j in inner)
+class _FoldedRow:
+    """Row x of the product table of a group too large to tabulate.
 
+    ``row[y]`` is x*y, found by folding the shorter of the two canonical
+    words: y's over the right-multiplication table starting at x, or x's,
+    reversed, over the left-multiplication table starting at y.
+    """
 
-def _invert_perm(perm: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(perm)
-    for r, img in enumerate(perm):
-        if img >= 0:
-            out[img] = r
-        else:
-            out[~img] = ~r
-    return tuple(out)
+    __slots__ = ("_x", "_x_reversed", "_right", "_left", "_words")
 
-
-class _ComposedRow:
-    """Row of x*y for a group too large for a full product table."""
-
-    __slots__ = ("_perm", "_elements", "_index")
-
-    def __init__(self, group: WeylGroup, perm: tuple[int, ...]):
-        self._perm = perm
-        self._elements = group.elements
-        self._index = group._index
+    def __init__(self, group: WeylGroup, x: int):
+        self._x = x
+        self._x_reversed = group._words[x][::-1]
+        self._right = group._right
+        self._left = group._left
+        self._words = group._words
 
     def __getitem__(self, y: int) -> int:
-        return self._index[_compose(self._perm, self._elements[y].root_perm)]
+        word = self._words[y]
+        if len(word) <= len(self._x_reversed):
+            z, right = self._x, self._right
+            for i in word:
+                z = right[i][z]
+        else:
+            z, left = y, self._left
+            for i in self._x_reversed:
+                z = left[i][z]
+        return z
 
 
 def word_name(word) -> str:
@@ -391,18 +375,16 @@ def word_name(word) -> str:
 class WeylElement:
     """One enumerated group element.
 
-    ``canonical_word`` is the lexicographically minimal reduced word,
-    ``root_perm`` the signed action on positive roots.  Elements compare
-    and hash by enumeration index within their group.
+    ``canonical_word`` is the lexicographically minimal reduced word.
+    Elements compare and hash by enumeration index within their group.
     """
 
-    __slots__ = ("group", "index", "canonical_word", "root_perm")
+    __slots__ = ("group", "index", "canonical_word")
 
-    def __init__(self, group: WeylGroup, index: int, word: tuple[int, ...], perm: tuple[int, ...]):
+    def __init__(self, group: WeylGroup, index: int, word: tuple[int, ...]):
         self.group = group
         self.index = index
         self.canonical_word = word
-        self.root_perm = perm
 
     @property
     def length(self) -> int:
@@ -440,13 +422,16 @@ class WeylElement:
 class WeylGroup:
     """Fully enumerated Weyl group with length, descent and product tables.
 
-    The length, descent, inverse and simple-reflection tables are built at
-    enumeration.  The full product table (groups of order at most
-    ``_PRODUCT_TABLE_LIMIT``) is built on the first product (``product_row``
-    or ``product_index``), so callers that never multiply two arbitrary
-    elements never pay for it.  The per-subset coset tables (``_left_top``
-    and ``_right_quotient``, keyed by the subset's bit mask) are likewise
-    built on first use, at most one per subset and side.
+    Elements are the indices 0..order-1 of the rho-orbit enumeration, each
+    with its canonical word.  The length, descent, inverse and
+    simple-reflection tables are built at enumeration.  The full product
+    table (groups of order at most ``_PRODUCT_TABLE_LIMIT``) is built on
+    the first product (``product_row`` or ``product_index``), so callers
+    that never multiply two arbitrary elements never pay for it.  The
+    per-subset coset tables (``_left_top`` and ``_right_quotient``, keyed
+    by the subset's bit mask) are likewise built on first use, at most one
+    per subset and side.  Canonical-word names (``word_names``) are
+    rendered on first use too.
     """
 
     __slots__ = (
@@ -454,14 +439,13 @@ class WeylGroup:
         "elements",
         "rank",
         "order",
-        "_index",
+        "_words",
+        "_names",
         "_length",
         "_rdesc",
         "_right",
         "_left",
         "_inv",
-        "_parent",
-        "_last",
         "_table",
         "_tops",
         "_quotients",
@@ -473,74 +457,76 @@ class WeylGroup:
         self.roots = roots
         rank = roots.rank
         self.rank = rank
-        simple_perms = roots.simple_perms
-        n_roots = roots.n_positive
+        # alpha_i in fundamental-weight coordinates is column i of the Cartan
+        # matrix; only its nonzero entries move a key
+        columns = list(zip(*roots.datum.matrix))
+        alpha = [[(k, a) for k, a in enumerate(column) if a] for column in columns]
 
-        identity_perm = tuple(range(n_roots))
-        perms: list[tuple[int, ...]] = [identity_perm]
+        rho = (1,) * rank
+        keys: list[tuple[int, ...]] = [rho]
         words: list[tuple[int, ...]] = [()]
-        parent: list[int] = [-1]
-        last: list[int] = [-1]
-        index: dict[tuple[int, ...], int] = {identity_perm: 0}
+        rdesc: list[int] = [0]
+        index: dict[tuple[int, ...], int] = {rho: 0}
+        right: list[list[int]] = [[0] for _ in range(rank)]
         frontier = [0]
         while frontier:
             fresh: list[int] = []
             for x in frontier:
-                perm = perms[x]
+                mu = keys[x]
                 for i in range(rank):
-                    if perm[i] < 0:
-                        continue  # right descent, shorter product
-                    newperm = _compose(perm, simple_perms[i])
-                    if newperm in index:
+                    c = mu[i]
+                    if c < 0:
+                        # right descent: x·s_i came first and set both entries
+                        rdesc[x] |= 1 << i
                         continue
-                    if len(perms) >= order_cap:
-                        raise OrderCapExceeded(
-                            f"group order exceeds cap {order_cap}"
-                        )
-                    index[newperm] = len(perms)
-                    perms.append(newperm)
-                    words.append(words[x] + (i,))
-                    parent.append(x)
-                    last.append(i)
-                    fresh.append(len(perms) - 1)
+                    nu = list(mu)
+                    for k, a in alpha[i]:
+                        nu[k] -= c * a
+                    nu = tuple(nu)
+                    y = index.get(nu)
+                    if y is None:
+                        if len(keys) >= order_cap:
+                            raise OrderCapExceeded(f"group order exceeds cap {order_cap}")
+                        y = index[nu] = len(keys)
+                        keys.append(nu)
+                        words.append(words[x] + (i,))
+                        rdesc.append(0)
+                        for column in right:
+                            column.append(0)
+                        fresh.append(y)
+                    right[i][x] = y
+                    right[i][y] = x
             frontier = fresh
 
-        order = len(perms)
+        order = len(keys)
         self.order = order
-        self._index = index
-        self._parent = parent
-        self._last = last
+        self._words = words
         self._length = [len(w) for w in words]
-        self._rdesc = [
-            sum(1 << i for i in range(rank) if perm[i] < 0) for perm in perms
-        ]
+        self._rdesc = rdesc
+        self._right = right
 
         inv = [0] * order
-        for x, perm in enumerate(perms):
-            inv[x] = index[_invert_perm(perm)]
+        for x, word in enumerate(words):
+            y = 0
+            for i in reversed(word):
+                y = right[i][y]
+            inv[x] = y
         self._inv = inv
-
-        right = [[0] * order for _ in range(rank)]
-        for x, perm in enumerate(perms):
-            for i in range(rank):
-                right[i][x] = index[_compose(perm, simple_perms[i])]
-        self._right = right
         # s.w = (w^-1 . s)^-1
         self._left = [
             [inv[right[i][inv[x]]] for x in range(order)] for i in range(rank)
         ]
 
+        self._names = None
         self._table = None
         self._tops: dict[int, list[int]] = {}
         self._quotients: dict[int, dict[int, tuple[int, int]]] = {}
 
         self.elements: tuple[WeylElement, ...] = tuple(
-            WeylElement(self, x, words[x], perms[x]) for x in range(order)
+            WeylElement(self, x, words[x]) for x in range(order)
         )
         self.identity = self.elements[0]
-        self.simple = tuple(
-            self.elements[index[simple_perms[i]]] for i in range(rank)
-        )
+        self.simple = tuple(self.elements[right[i][0]] for i in range(rank))
 
     # -- index-level fast layer -------------------------------------------
 
@@ -551,14 +537,14 @@ class WeylGroup:
         """Row x of the multiplication table: ``product_row(x)[y]`` is x*y.
 
         Up to ``_PRODUCT_TABLE_LIMIT`` this is a row of the full table,
-        built on the first call; above it, an indexable view that composes
-        root permutations per lookup.  A convolution fetches one row per
+        built on the first call; above it, an indexable view that folds
+        a canonical word per lookup.  A convolution fetches one row per
         left term and indexes it in its inner loop.
         """
         table = self._table
         if table is None:
             if self.order > _PRODUCT_TABLE_LIMIT:
-                return _ComposedRow(self, self.elements[x].root_perm)
+                return _FoldedRow(self, x)
             table = self._table = self._product_table()
         return table[x]
 
@@ -566,14 +552,15 @@ class WeylGroup:
         return self.product_row(x)[y]
 
     def _product_table(self) -> list[list[int]]:
-        # row x of the table: x*y = (x * parent(y)) * s_last(y)
-        right, parent, last = self._right, self._parent, self._last
+        # row x of the table: x*y = (x * y·s) * s, s the last letter of y, and
+        # y·s comes before y in enumeration order
+        right = self._right
+        steps = [(y, right[w[-1]], right[w[-1]][y]) for y, w in enumerate(self._words) if w]
         table = []
         for x in range(self.order):
-            row = [0] * self.order
-            row[0] = x
-            for y in range(1, self.order):
-                row[y] = right[last[y]][row[parent[y]]]
+            row = [x] * self.order
+            for y, column, shorter in steps:
+                row[y] = column[row[shorter]]
             table.append(row)
         return table
 
@@ -607,6 +594,12 @@ class WeylGroup:
                 if not rdesc[x] & mask
             }
         return quotient
+
+    def word_names(self) -> list[str]:
+        """``word_name`` of each canonical word by index, rendered on first use."""
+        if self._names is None:
+            self._names = [word_name(word) for word in self._words]
+        return self._names
 
     def inverse_index(self, x: int) -> int:
         return self._inv[x]
@@ -743,4 +736,4 @@ def roots_jsonable(roots: RootSystem) -> list[list[int]]:
 
 def elements_jsonable(group: WeylGroup) -> list[str]:
     """Canonical words of all elements in enumeration order ("" = identity)."""
-    return [word_name(w.canonical_word) for w in group.elements]
+    return list(group.word_names())

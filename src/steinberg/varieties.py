@@ -18,16 +18,17 @@ sweep holds one pair's worth of vectors at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import NamedTuple
 
 from . import algebra, parabolic
 from .algebra import AlgebraElement, SubspaceBasis
 from .rootsys import RootSystem, WeylElement, WeylGroup, word_name
 
 
-@dataclass(frozen=True)
-class GeometryProfile:
+class GeometryProfile(NamedTuple):
     """Global constants of the group: n, d = 2n + l, l, top degree 4n."""
 
     n: int
@@ -36,8 +37,7 @@ class GeometryProfile:
     top_degree_z: int
 
 
-@dataclass(frozen=True)
-class PairProfile:
+class PairProfile(NamedTuple):
     """Dimension data for one pair (J, K) of standard parabolics."""
 
     J: tuple[int, ...]
@@ -51,8 +51,7 @@ class PairProfile:
     dim_flag_q: int
 
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(NamedTuple):
     """One irreducible component, labeled by its indexing group element.
 
     ``dim_zw`` is the dimension of the component of Z above the label,
@@ -68,8 +67,7 @@ class ComponentReport:
     eta_dim_preserved: bool
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one exact dimension check.
 
     ``detail`` carries auxiliary exact counts (all of which must agree for
@@ -81,7 +79,7 @@ class VerificationReport:
     computed: int
     passed: bool
     witness: SubspaceBasis | None = None
-    detail: dict = field(default_factory=dict)
+    detail: Mapping[str, object] = MappingProxyType({})  # shared, so read-only
 
 
 def geometry_profile(roots: RootSystem) -> GeometryProfile:
@@ -259,32 +257,37 @@ def hotta_verification(group: WeylGroup, s: int) -> VerificationReport:
     Half the group order, the dimension of the right -1 eigenspace of s,
     and the number of elements with l(sw) < l(w); additionally that descent
     set must be exactly the complement of the minimal ({s}, empty)-coset
-    representatives, which read the descent table.  All four checks feed
-    ``passed``.
+    representatives, which read the descent table, and every eigenspace
+    vector v must satisfy v * delta_s = -v, multiplied in QW rather than
+    read off ``right_index``.  All five checks feed ``passed``.  When a
+    vector is not negated, ``detail["first_not_negated"]`` names its first
+    element.
     """
     half = group.order // 2
     eigen = algebra.right_sign_eigenspace(group, s)
+    delta_s = algebra.delta(group.simple[s])
+    unnegated = [v for v in eigen.vectors if v * delta_s != -v]
     length, left = group._length, group._left[s]
     descents = [w for w in group.elements if length[left[w.index]] < length[w.index]]
-    nonminimal = [
-        w
-        for w in group.elements
-        if not parabolic.is_minimal_in_double_coset(w, [s], [])
-    ]
+    minimal = parabolic.is_minimal_in_double_coset
+    nonminimal = [w for w in group.elements if not minimal(w, [s], [])]
     sets_match = descents == nonminimal
-    passed = eigen.dimension == half == len(descents) and sets_match
+    passed = eigen.dimension == half == len(descents) and sets_match and not unnegated
+    detail = {
+        "half_order": half,
+        "eigenspace_dim": eigen.dimension,
+        "descent_count": len(descents),
+        "descent_set_is_nonminimal_set": sets_match,
+    }
+    if unnegated:
+        detail["first_not_negated"] = word_name(unnegated[0].support[0].canonical_word)
     return VerificationReport(
         claim=f"hotta s={s + 1}",
         expected=half,
         computed=eigen.dimension,
         passed=passed,
         witness=eigen,
-        detail={
-            "half_order": half,
-            "eigenspace_dim": eigen.dimension,
-            "descent_count": len(descents),
-            "descent_set_is_nonminimal_set": sets_match,
-        },
+        detail=detail,
     )
 
 

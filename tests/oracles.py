@@ -1,42 +1,152 @@
 """Independent oracle implementations for cross-checking the library.
 
 Everything here deliberately avoids the library's fast paths: products are
-recomputed from signed root permutations (not the multiplication table),
-cosets are counted by union-find (not orbit BFS), Bruhat order is built
-from reflection chains and from literal subword search, and ranks come
-from a dense Gaussian elimination (not the sparse reducer).
+recomputed from signed root permutations (not the multiplication table;
+the library keeps no permutations at all), the group's tables are rebuilt
+by a permutation enumeration (not the orbit of rho), cosets are counted by
+union-find (not orbit BFS), Bruhat order is built from reflection chains
+and from literal subword search, and ranks come from a dense Gaussian
+elimination (not the sparse reducer).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from operator import invert
 
 
-def perm_index_map(group):
-    return {w.root_perm: w.index for w in group.elements}
+def _compose(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
+    """Signed permutation composition: apply inner first, then outer."""
+    return tuple(outer[j] if j >= 0 else ~outer[~j] for j in inner)
 
 
-def perm_mul(group, x: int, y: int, index_map=None) -> int:
-    """Product of element indices via signed permutation composition."""
-    if index_map is None:
-        index_map = perm_index_map(group)
-    px = group.elements[x].root_perm
-    py = group.elements[y].root_perm
-    comp = tuple(px[j] if j >= 0 else ~px[~j] for j in py)
-    return index_map[comp]
+def _lookup(outer: tuple[int, ...]):
+    """``_compose`` with one outer and many inners: index -> image under outer.
+
+    Entry ``~k`` (the negative of root k) must map to ``~outer[k]``.  Python
+    reads index ``~k`` from the end, so outer followed by its negated
+    reversal serves both signs with one lookup.
+    """
+    return (outer + tuple(map(invert, reversed(outer)))).__getitem__
 
 
-def perm_inv(group, x: int, index_map=None) -> int:
-    if index_map is None:
-        index_map = perm_index_map(group)
-    perm = group.elements[x].root_perm
+def _invert(perm: tuple[int, ...]) -> tuple[int, ...]:
     out = [0] * len(perm)
     for r, img in enumerate(perm):
         if img >= 0:
             out[img] = r
         else:
             out[~img] = ~r
-    return index_map[tuple(out)]
+    return tuple(out)
+
+
+def simple_perms(roots) -> list[tuple[int, ...]]:
+    """Each simple reflection as a signed permutation of the positive roots.
+
+    Entry ``j`` of a permutation means root ``j``, entry ``~j`` its negative;
+    s_i(beta) = beta - <beta, alpha_i^vee> alpha_i, read off the Cartan matrix.
+    """
+    matrix = roots.datum.matrix
+    coords = [r.coords for r in roots.positive]
+    index = {c: k for k, c in enumerate(coords)}
+    perms = []
+    for i, row in enumerate(matrix):
+        images = []
+        for beta in coords:
+            gamma = list(beta)
+            gamma[i] -= sum(a * b for a, b in zip(row, beta))
+            k = index.get(tuple(gamma))
+            images.append(~index[tuple(-c for c in gamma)] if k is None else k)
+        perms.append(tuple(images))
+    return perms
+
+
+def permutation_bfs(roots) -> dict[str, list]:
+    """The group's tables from an enumeration by signed root permutations.
+
+    Breadth-first from the identity, multiplying each element by s_1, ...,
+    s_r on the right and keeping the first path to each new permutation, so
+    the words are the lex-minimal reduced words in the library's order (a
+    product that is new is always longer).  Lengths count the positive roots
+    sent negative, descents read the simple roots' images, and the left
+    table composes on the left: nothing here reads a word's length or the
+    library's tables.
+    """
+    rank = roots.rank
+    simple = simple_perms(roots)
+    identity = tuple(range(roots.n_positive))
+    # an element is determined by the images of the simple roots, so those
+    # key the permutations: rank entries to hash instead of every root's
+    heads = [s[:rank] for s in simple]
+    perms = [identity]
+    words: list[tuple[int, ...]] = [()]
+    index = {identity[:rank]: 0}
+    right: list[list[int]] = [[] for _ in simple]
+    frontier = [0]
+    while frontier:
+        fresh = []
+        for x in frontier:  # frontiers run through the indices in order
+            lookup = _lookup(perms[x])
+            for i, head in enumerate(heads):
+                y = index.get(tuple(map(lookup, head)))
+                if y is None:
+                    y = len(perms)
+                    perms.append(tuple(map(lookup, simple[i])))
+                    index[perms[y][:rank]] = y
+                    words.append(words[x] + (i,))
+                    fresh.append(y)
+                right[i].append(y)
+        frontier = fresh
+    left = [[index[tuple(map(f, p[:rank]))] for p in perms] for f in map(_lookup, simple)]
+    return {
+        "words": words,
+        "right": right,
+        "left": left,
+        "inv": [index[_invert(p)[:rank]] for p in perms],
+        "rdesc": [sum(1 << i for i in range(rank) if p[i] < 0) for p in perms],
+        "length": [sum(map((0).__gt__, p)) for p in perms],  # roots sent negative
+        "simple": [index[head] for head in heads],
+    }
+
+
+@lru_cache(maxsize=8)
+def root_perms(group) -> tuple[tuple[int, ...], ...]:
+    """Each element's signed permutation of the positive roots, by index.
+
+    Built once per group from the canonical words and ``simple_perms``: a
+    canonical word less its last letter is the canonical word of an earlier
+    element, so each element costs one composition.
+    """
+    simple = simple_perms(group.roots)
+    by_word: dict[tuple[int, ...], int] = {}
+    perms: list[tuple[int, ...]] = []
+    for w in group.elements:
+        word = w.canonical_word
+        if word:
+            perms.append(_compose(perms[by_word[word[:-1]]], simple[word[-1]]))
+        else:
+            perms.append(tuple(range(group.roots.n_positive)))
+        by_word[word] = w.index
+    return tuple(perms)
+
+
+def perm_index_map(group):
+    return {perm: x for x, perm in enumerate(root_perms(group))}
+
+
+def perm_mul(group, x: int, y: int, index_map=None) -> int:
+    """Product of element indices via signed permutation composition."""
+    if index_map is None:
+        index_map = perm_index_map(group)
+    perms = root_perms(group)
+    return index_map[_compose(perms[x], perms[y])]
+
+
+def perm_inv(group, x: int, index_map=None) -> int:
+    if index_map is None:
+        index_map = perm_index_map(group)
+    return index_map[_invert(root_perms(group)[x])]
 
 
 def brute_parabolic(group, J) -> set[int]:

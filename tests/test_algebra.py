@@ -477,3 +477,17 @@ def test_jsonable():
     g = _group("A2")
     v = delta(g.identity).scale(Fraction(1, 3)) - delta(g.longest_element())
     assert v.to_jsonable() == {"": "1/3", "s1s2s1": "-1"}
+
+
+def test_to_jsonable_names_each_element_once(monkeypatch):
+    from steinberg import rootsys
+
+    g = _group("B3")
+    real = rootsys.word_name
+    named = []
+    monkeypatch.setattr(rootsys, "word_name", lambda word: named.append(word) or real(word))
+    e = trivial_idempotent(g, [0, 1, 2])
+    expected = {real(w.canonical_word): "1/48" for w in g}
+    for _ in range(3):
+        assert e.to_jsonable() == expected
+    assert sorted(named) == sorted(w.canonical_word for w in g)

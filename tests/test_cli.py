@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import errno
 import hashlib
 import io
@@ -193,6 +192,9 @@ def test_order_cap(capsys):
     code, out, _ = run(capsys, ["table", "--type", "A2", "--p", "0", "--q", "1",
                                 "--order-cap", "6"])
     assert code == 0
+    # argparse reads --order-cap=-- as an empty list, past its int conversion
+    code, _, err = run(capsys, ["table", "--type", "A2", "--order-cap=--"])
+    assert code == 2 and err.startswith("error:")
 
 
 # digits, separators, signs, and non-ASCII digits: Arabic-Indic three (int() reads
@@ -354,6 +356,22 @@ def cli_child(argv, **kwargs):
                             env=env, stderr=subprocess.PIPE, **kwargs)
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # importing both costs about 22 ms per process, more than a small run's work
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+
+    def modules(*imports):
+        code = "import sys\n" + "".join(f"import {m}\n" for m in imports)
+        code += "print(' '.join(sys.modules))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        return set(out.split())
+
+    added = modules("steinberg.cli") - modules()
+    assert "steinberg.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("command", ["table", "components", "verify"])
 def test_full_device_exits_2_with_one_error_line(capsys, command):
@@ -410,7 +428,7 @@ def test_closed_stdout_exit_code_counts_written_reports(capsys, monkeypatch, clo
     def first_pair_fails(group, J, K):
         calls[J, K] += 1
         report = real(group, J, K)
-        return dataclasses.replace(report, passed=False) if (J, K) == ((), ()) else report
+        return report._replace(passed=False) if (J, K) == ((), ()) else report
 
     monkeypatch.setattr(varieties, "verify_invariant_isomorphism", first_pair_fails)
     monkeypatch.setattr(sys, "stdout", Sink(closed_at=closed_at))

@@ -186,7 +186,7 @@ def test_coset_tables_match_permutation_oracle(name):
     # lengths, descents, products and parabolics all from root permutations
     g = _group(name)
     index_map = orc.perm_index_map(g)
-    length = [sum(1 for img in w.root_perm if img < 0) for w in g.elements]
+    length = [sum(1 for img in perm if img < 0) for perm in orc.root_perms(g)]
     simple = [s.index for s in g.simple]
 
     def mul(x, y):

@@ -228,6 +228,28 @@ def test_enumeration_order_is_length_then_lex():
         assert len(set(keys)) == len(keys)
 
 
+PARITY_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3", "C4",
+                "D4", "D5", "F4", "G2", "E6", "A1xA2"]
+
+
+@pytest.mark.parametrize("name", PARITY_TYPES)
+def test_rho_orbit_tables_match_permutation_enumeration(name):
+    if name == "A1xA2":  # the reducible --cartan matrix of the frozen corpus
+        datum = validate_cartan([[2, 0, 0], [0, 2, -1], [0, -1, 2]])
+    else:
+        datum = cartan_from_name(name)
+    roots = root_system(datum)
+    g = enumerate_weyl(roots)
+    bfs = orc.permutation_bfs(roots)
+    assert [w.canonical_word for w in g] == bfs["words"]
+    assert g._right == bfs["right"]
+    assert g._left == bfs["left"]
+    assert g._inv == bfs["inv"]
+    assert g._rdesc == bfs["rdesc"]
+    assert g._length == bfs["length"]
+    assert [s.index for s in g.simple] == bfs["simple"]
+
+
 def test_canonical_words_are_lex_minimal_reduced():
     for name in ["A2", "B2"]:
         g = _group(name)
@@ -241,7 +263,8 @@ def test_length_counts_negated_roots():
     for name in ["A2", "B2", "B3"]:
         g = _group(name)
         for w in g:
-            assert w.length == sum(1 for x in w.root_perm if x < 0)
+            perm = orc.root_perms(g)[w.index]
+            assert w.length == sum(1 for x in perm if x < 0)
 
 
 # -- products and inverses --------------------------------------------------
@@ -293,7 +316,7 @@ def test_product_table_built_on_first_product():
 @pytest.mark.parametrize("name", ["B3", "A6"])
 def test_product_row_matches_product_index_and_oracle(name):
     g = _group(name)
-    # B3 reads rows of the full table; A6 is over the limit and composes
+    # B3 reads rows of the full table; A6 is over the limit and folds words
     assert (g.order > _PRODUCT_TABLE_LIMIT) == (name == "A6")
     index_map = orc.perm_index_map(g)
     rng = random.Random(29)
@@ -347,7 +370,7 @@ def test_longest_element_lengths():
     assert g.longest_element([]).name == "e"
     # longest element negates every positive root
     w0 = g.longest_element()
-    assert all(x < 0 for x in w0.root_perm)
+    assert all(x < 0 for x in orc.root_perms(g)[w0.index])
 
 
 # -- Bruhat order -----------------------------------------------------------

@@ -12,6 +12,7 @@ from steinberg import (
     varieties,
 )
 from steinberg.parabolic import double_cosets, maximal_reps
+from steinberg.rootsys import WeylGroup
 from steinberg.varieties import (
     averaging_image_check,
     geometry_profile,
@@ -241,6 +242,25 @@ def test_hotta_descent_side_is_not_the_descent_table():
     assert r.detail["descent_count"] == g.order // 2
     assert r.detail["descent_set_is_nonminimal_set"] is False
     assert not r.passed
+
+
+def test_hotta_eigenspace_side_multiplies_by_delta_s(monkeypatch):
+    g = _group("B3")
+    s, other = 0, 1
+    assert "first_not_negated" not in hotta_verification(g, s).detail
+    real = WeylGroup.right_index
+
+    def wrong(self, x, t):
+        # x·s2 in place of x·s1: still an involution, so every count holds
+        return real(self, x, other if t == s else t)
+
+    monkeypatch.setattr(WeylGroup, "right_index", wrong)
+    r = hotta_verification(g, s)
+    assert r.detail["eigenspace_dim"] == r.detail["descent_count"] == g.order // 2
+    assert r.detail["descent_set_is_nonminimal_set"] is True
+    assert not r.passed
+    # the first pair is e with s2, and (delta_e - delta_s2) * delta_s1 is not its negative
+    assert r.detail["first_not_negated"] == ""
 
 
 def test_averaging_image_check_examples():
