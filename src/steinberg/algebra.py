@@ -3,7 +3,7 @@
 An element stores its coefficients as integer numerators over one
 positive common denominator, in lowest terms; Fraction appears only where
 coefficients enter (the constructor, ``scale``) and leave (``coefficient``,
-``items``, ``to_jsonable``, ``repr``).  The module provides the trivial and
+``items``, ``repr``).  The module provides the trivial and
 sign idempotents of parabolic subgroups, the two-sided averaging
 projectors built from them, and exact row reduction for computing
 dimensions of the resulting subspaces.  All arithmetic is exact; nothing
@@ -164,9 +164,18 @@ class AlgebraElement:
         return " + ".join(parts)
 
     def to_jsonable(self) -> dict[str, str]:
-        """Canonical word -> coefficient string, identity rendered as ""."""
+        """Canonical word -> coefficient string, identity rendered as "".
+
+        Each coefficient is written as ``str(Fraction)`` writes it, "n" or
+        "n/d" in lowest terms, straight from its numerator.
+        """
         names, num, d = self.group.word_names(), self._n, self._d
-        return {names[x]: str(Fraction(num[x], d)) for x in sorted(num)}
+        out = {}
+        for x in sorted(num):
+            n = num[x]
+            g = gcd(n, d)
+            out[names[x]] = f"{n // g}/{d // g}" if g != d else str(n // g)
+        return out
 
 
 def _exact(q) -> int | Fraction:

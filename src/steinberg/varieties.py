@@ -13,7 +13,8 @@ The three per-pair verifiers share one ``PairContext`` from
 its own ``double_cosets`` call, plus the idempotents e_J, e_K, eps_J,
 eps_K and the invariant and anti-invariant bases, each built on first
 use.  Only the context of the most recent (group, J, K) is kept, so a
-sweep holds one pair's worth of vectors at a time.
+sweep holds one pair's worth of vectors at a time; the idempotents come
+from a small cache keyed by (group, subset), so a sweep builds each once.
 """
 
 from __future__ import annotations
@@ -177,19 +178,19 @@ class PairContext:
 
     @cached_property
     def e_j(self) -> AlgebraElement:
-        return algebra.trivial_idempotent(self.group, self.J)
+        return _idempotent(self.group, self.J, False)
 
     @cached_property
     def e_k(self) -> AlgebraElement:
-        return algebra.trivial_idempotent(self.group, self.K)
+        return _idempotent(self.group, self.K, False)
 
     @cached_property
     def eps_j(self) -> AlgebraElement:
-        return algebra.sign_idempotent(self.group, self.J)
+        return _idempotent(self.group, self.J, True)
 
     @cached_property
     def eps_k(self) -> AlgebraElement:
-        return algebra.sign_idempotent(self.group, self.K)
+        return _idempotent(self.group, self.K, True)
 
     @cached_property
     def invariant(self) -> SubspaceBasis:
@@ -218,6 +219,46 @@ def _pair_context(
     return PairContext(group, J, K)
 
 
+@lru_cache(maxsize=128)
+def _idempotent(group: WeylGroup, J: tuple[int, ...], sign: bool) -> AlgebraElement:
+    """eps_J (sign) or e_J of a normalized subset, shared by every pair.
+
+    A sweep over all pairs of a rank-l group uses 2^(l+1) of them, so the
+    bound covers every sweep up to rank 6.
+    """
+    make = algebra.sign_idempotent if sign else algebra.trivial_idempotent
+    return make(group, J)
+
+
+def _absorption_faults(group: WeylGroup, checks) -> list[str]:
+    """Names of the idempotents that are not the one they claim to be.
+
+    ``checks`` holds (name, e, subset, table, twist): e must be e_subset
+    (twist 1) or eps_subset (twist -1); ``table`` is ``_right`` to test
+    e·δ_s = twist·e, ``_left`` to test δ_s·e = twist·e, for s in subset.
+    With the support in W_subset (every canonical word in its letters)
+    that makes c_u = twist^l(u)·c_e, and Σ twist^l(u)·c_u = 1 fixes
+    c_e = 1/|W_subset|: e is the idempotent, so e² = e.  No product is formed.
+    """
+    words, length = group._words, group._length
+    faults = []
+    for name, e, subset, table, twist in checks:
+        num, letters = e._n, set(subset)
+        moved = [twist * n for n in num.values()]
+        ok = (
+            all(map(letters.issuperset, map(words.__getitem__, num)))
+            and all(
+                list(map(num.get, map(table[s].__getitem__, num))) == moved
+                for s in subset
+            )
+            and sum(-n if twist < 0 and length[x] % 2 else n for x, n in num.items())
+            == e._d
+        )
+        if not ok:
+            faults.append(name)
+    return faults
+
+
 def verify_invariant_isomorphism(group: WeylGroup, J, K) -> VerificationReport:
     """dim e_K QW e_J must equal the number of (W_J, W_K) double cosets."""
     ctx = pair_context(group, J, K)
@@ -235,19 +276,34 @@ def verify_invariant_isomorphism(group: WeylGroup, J, K) -> VerificationReport:
 
 
 def verify_anti_invariant_isomorphism(group: WeylGroup, J, K) -> VerificationReport:
-    """dim eps_K QW eps_J must equal the number of maximal representatives."""
+    """dim eps_K QW eps_J must equal the number of maximal representatives.
+
+    The computed side is the rank of eps_K·δ_m·eps_J over the max reps m
+    of the (W_K, W_J) cosets.  It also requires eps_K and eps_J to be the
+    sign idempotents, by sign-twisted absorption read off the tables:
+    eps_K·δ_t = -eps_K for t in K, δ_s·eps_J = -eps_J for s in J, each
+    support inside its parabolic, and Σ sgn(u)·c_u = 1.  When one fails,
+    ``detail["absorption_fails"]`` names it.
+    """
     ctx = pair_context(group, J, K)
     reps = [coset.max_rep for coset in ctx.dec_jk.cosets]
     basis = ctx.anti_invariant
+    faults = _absorption_faults(group, (
+        ("eps_K", ctx.eps_k, ctx.K, group._right, -1),
+        ("eps_J", ctx.eps_j, ctx.J, group._left, -1),
+    ))
     expected = len(reps)
     computed = basis.dimension
+    detail = {"maximal_reps": [word_name(m.canonical_word) for m in reps]}
+    if faults:
+        detail["absorption_fails"] = faults
     return VerificationReport(
         claim=f"anti-invariant-dimension J={_fmt(ctx.J)} K={_fmt(ctx.K)}",
         expected=expected,
         computed=computed,
-        passed=expected == computed,
+        passed=expected == computed and not faults,
         witness=basis,
-        detail={"maximal_reps": [word_name(m.canonical_word) for m in reps]},
+        detail=detail,
     )
 
 
@@ -292,43 +348,65 @@ def hotta_verification(group: WeylGroup, s: int) -> VerificationReport:
 
 
 def averaging_image_check(group: WeylGroup, J, K) -> VerificationReport:
-    """Rank and kernel of the projector v -> e_K * v * e_J on QW.
+    """Rank and kernel of the projector P: v -> e_K * v * e_J on QW.
 
-    The rank comes from row reducing one uniform vector per (W_K, W_J)
-    double coset after verifying each is fixed by the projector, and is
-    compared with the (W_J, W_K) coset count; the kernel dimension is
-    checked against the explicit independent family
-    delta_x - delta_{min_rep(x)}, which row reduction must size at
-    |W| - #cosets.  When a vector is not fixed, ``detail["first_unfixed"]``
-    names the min rep of the first such coset.
+    - Absorption: e_K·δ_t = e_K for t in K and δ_s·e_J = e_J for s in J,
+      with supports and coefficient sums checked (``_absorption_faults``),
+      so e_K and e_J are the idempotents and P(δ_{u·x·u'}) = P(δ_x) for u
+      in W_K, u' in W_J.
+    - One product per (W_K, W_J) coset: e_K·δ_x·e_J for its min rep x must
+      equal the coset's basis vector.  Every w of the coset is u·x·u'
+      (Björner–Brenti §2.4), so the image of P is exactly the span of the
+      basis and, P being idempotent, each basis vector is fixed.
+    - Kernel: the family δ_w - δ_{min rep}, row reduced as integer rows,
+      must have rank |W| - #cosets.
+
+    The rank of the basis is compared with the (W_J, W_K) coset count.  On
+    failure, ``detail["first_unfixed"]`` names the min rep of the first
+    coset whose product differs from its vector, and
+    ``detail["absorption_fails"]`` the idempotents that do not absorb.
     """
     ctx = pair_context(group, J, K)
     basis = ctx.invariant
     e_j, e_k = ctx.e_j, ctx.e_k
-    unfixed = next((v for v in basis.vectors if e_k * v * e_j != v), None)
-    fixed = unfixed is None
-    kernel_family = []
-    for coset in ctx.dec_kj.cosets:
+    faults = _absorption_faults(group, (
+        ("e_K", e_k, ctx.K, group._right, 1),
+        ("e_J", e_j, ctx.J, group._left, 1),
+    ))
+    cosets, vectors = ctx.dec_kj.cosets, basis.vectors
+    unfixed = next(
+        (
+            c.min_rep
+            for i, c in enumerate(cosets)
+            if i == len(vectors) or e_k * algebra.delta(c.min_rep) * e_j != vectors[i]
+        ),
+        None,
+    )
+    fixed = unfixed is None and len(vectors) == len(cosets)
+    reducer = algebra._Reducer()
+    kernel_dim = 0
+    for coset in cosets:
         rep = coset.min_rep.index
         for w in coset.elements:
             if w.index != rep:
-                kernel_family.append(AlgebraElement._raw(group, {w.index: 1, rep: -1}))
-    kernel = algebra.span_dimension(kernel_family)
+                kernel_dim += reducer.insert({w.index: 1, rep: -1})
     expected = len(ctx.dec_jk)
     computed = basis.dimension
     passed = (
         fixed
+        and not faults
         and computed == expected
-        and kernel.dimension == group.order - computed
+        and kernel_dim == group.order - computed
     )
     detail = {
-        "kernel_dim": kernel.dimension,
+        "kernel_dim": kernel_dim,
         "order": group.order,
         "basis_fixed_by_projector": fixed,
     }
-    if not fixed:
-        rep = ctx.dec_kj.coset_of(unfixed.support[0]).min_rep
-        detail["first_unfixed"] = word_name(rep.canonical_word)
+    if unfixed is not None:
+        detail["first_unfixed"] = word_name(unfixed.canonical_word)
+    if faults:
+        detail["absorption_fails"] = faults
     return VerificationReport(
         claim=f"averaging-image J={_fmt(ctx.J)} K={_fmt(ctx.K)}",
         expected=expected,

@@ -491,3 +491,20 @@ def test_to_jsonable_names_each_element_once(monkeypatch):
     for _ in range(3):
         assert e.to_jsonable() == expected
     assert sorted(named) == sorted(w.canonical_word for w in g)
+
+
+def test_to_jsonable_writes_fractions_from_integers(monkeypatch):
+    g = _group("B2")
+    coeffs = [Fraction(1, 6), Fraction(-1, 3), Fraction(2), Fraction(-7, 4), Fraction(5, 12)]
+    v = AlgebraElement(g, dict(zip(range(len(coeffs)), coeffs)))
+    # the coefficients share the denominator 12, and each is reduced on its own
+    expected = {g.word_names()[x]: str(q) for x, q in enumerate(coeffs)}
+
+    class NoFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("to_jsonable built a Fraction")
+
+    monkeypatch.setattr(algebra, "Fraction", NoFraction)
+    out = v.to_jsonable()
+    assert out == expected
+    assert list(out.values()) == ["1/6", "-1/3", "2", "-7/4", "5/12"]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 import oracles as orc
@@ -293,6 +295,8 @@ def test_averaging_image_check_names_first_unfixed_vector():
     assert r.detail["basis_fixed_by_projector"] is False
     # (W_K, W_J) cosets by min rep: e, s2, s2s1, s2s1s2; the second is not fixed
     assert r.detail["first_unfixed"] == "s2"
+    # e_{s1} is supported outside W_J = {e}, and s1·e_{s1} = e_{s1} is no fault
+    assert r.detail["absorption_fails"] == ["e_J"]
     assert averaging_image_check(_group("B2"), J, K).passed
 
 
@@ -374,8 +378,9 @@ def test_pair_verifiers_share_one_context(monkeypatch):
     assert counts["double_cosets"] == 2
     # e_J, e_K, eps_J, eps_K, each built once
     assert counts["parabolic_elements"] <= 4
-    # invariant basis (shared), anti-invariant basis, kernel family
-    assert counts["span_dimension"] == 3
+    # invariant basis (shared) and anti-invariant basis; the averaging check
+    # ranks its kernel family on integer rows, with no span_dimension call
+    assert counts["span_dimension"] == 2
     # the invariant and averaging reports witness with the same basis
     assert reports[0].witness is reports[2].witness
 
@@ -393,3 +398,134 @@ def test_pair_context_never_crosses_groups():
                 assert r.passed
                 assert r.witness.vectors
                 assert all(v.group is g for v in r.witness.vectors)
+
+
+
+def _set_delta_e(attr):
+    return lambda ctx: setattr(ctx, attr, algebra.delta(ctx.group.identity))
+
+
+def _set_smaller_e_j(ctx):
+    ctx.e_j = algebra.trivial_idempotent(ctx.group, ctx.J[:-1])
+
+
+def _drop_invariant_vector(ctx):
+    ctx.invariant = algebra.span_dimension(ctx.invariant.vectors[1:])
+
+
+# name: (subset that must be nonempty for the fault to change anything,
+#        reports that must fail, the fault)
+MUTATIONS = {
+    "e_j=delta_e": ("J", [averaging_image_check], _set_delta_e("e_j")),
+    "e_k=delta_e": ("K", [averaging_image_check], _set_delta_e("e_k")),
+    "eps_j=delta_e": ("J", [verify_anti_invariant_isomorphism], _set_delta_e("eps_j")),
+    "eps_k=delta_e": ("K", [verify_anti_invariant_isomorphism], _set_delta_e("eps_k")),
+    "e_j=e_(J-j)": ("J", [averaging_image_check], _set_smaller_e_j),
+    "drop_invariant_vector": (
+        None,
+        [verify_invariant_isomorphism, averaging_image_check],
+        _drop_invariant_vector,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MUTATIONS))
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_mutation_fails_its_report(name, kind):
+    side, reports, mutate = MUTATIONS[kind]
+    g = _group(name)
+    subsets = orc.all_subsets(g.rank)
+    pairs = [
+        (J, K)
+        for J in subsets
+        for K in subsets
+        if side is None or (J if side == "J" else K)
+    ]
+    try:
+        for J, K in pairs:
+            for report in reports:
+                varieties._pair_context.cache_clear()
+                mutate(varieties.pair_context(g, J, K))
+                assert not report(g, J, K).passed, (report.__name__, J, K)
+    finally:
+        varieties._pair_context.cache_clear()
+    assert averaging_image_check(g, (0,), (1,)).passed
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
+def test_averaging_image_is_the_literal_image(name):
+    # every e_K·δ_w·e_J by the full product, with idempotents from the
+    # permutation-closure oracle, row reduced densely
+    g = _group(name)
+    deltas = [algebra.delta(w) for w in g.elements]
+
+    def idempotent(subset):
+        members = orc.brute_parabolic(g, subset)
+        return algebra.AlgebraElement(g, {x: Fraction(1, len(members)) for x in members})
+
+    for J in orc.all_subsets(g.rank):
+        for K in orc.all_subsets(g.rank):
+            e_j, e_k = idempotent(J), idempotent(K)
+            image = [e_k * d * e_j for d in deltas]
+            rank = orc.dense_rank(image, g.order)
+            report = averaging_image_check(g, J, K)
+            assert report.passed
+            assert report.computed == rank
+            vectors = varieties.pair_context(g, J, K).invariant.vectors
+            assert orc.dense_rank(image + list(vectors), g.order) == rank
+
+
+def test_averaging_check_multiplies_twice_per_coset(monkeypatch):
+    g = _group("D4")  # a fresh group, so the context and its basis are built here
+    J, K = [0, 1], [2, 3]
+    calls = []
+    real = algebra.AlgebraElement.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(algebra.AlgebraElement, "__mul__", counted)
+    r = averaging_image_check(g, J, K)
+    assert r.passed
+    # e_K·δ_x·e_J for each coset's min rep x, and no other product
+    assert len(calls) == 2 * len(varieties.pair_context(g, J, K).dec_kj)
+
+
+def test_sweep_builds_each_idempotent_once_per_subset(monkeypatch):
+    g = _group("A3")  # a fresh group, so no idempotent of it is cached yet
+    counts = {}
+    _count_calls(monkeypatch, parabolic, "parabolic_elements", counts)
+    _count_calls(monkeypatch, algebra, "trivial_idempotent", counts)
+    _count_calls(monkeypatch, algebra, "sign_idempotent", counts)
+    subsets = orc.all_subsets(g.rank)
+    for J in subsets:
+        for K in subsets:
+            assert verify_anti_invariant_isomorphism(g, J, K).passed
+            assert averaging_image_check(g, J, K).passed
+    assert counts == {
+        "trivial_idempotent": len(subsets),
+        "sign_idempotent": len(subsets),
+        "parabolic_elements": 2 * len(subsets),
+    }
+
+
+def test_absorption_needs_support_translation_and_sum():
+    g = _group("B3")
+    J, S = (0, 1), (0, 1, 2)
+    e_j, eps_j = algebra.trivial_idempotent(g, J), algebra.sign_idempotent(g, J)
+
+    def faults(e, twist, table=g._left):
+        return varieties._absorption_faults(g, [("x", e, J, table, twist)])
+
+    assert faults(e_j, 1) == faults(e_j, 1, g._right) == []
+    assert faults(eps_j, -1) == faults(eps_j, -1, g._right) == []
+    # absorbs every s in J with sum 1, but supported on all of W
+    assert faults(algebra.trivial_idempotent(g, S), 1) == ["x"]
+    assert faults(algebra.sign_idempotent(g, S), -1) == ["x"]
+    # supported in W_J with sum 1, but not absorbing
+    assert faults(algebra.delta(g.identity), 1) == ["x"]
+    assert faults(algebra.delta(g.identity), -1) == ["x"]
+    assert faults(e_j, -1) == faults(eps_j, 1) == ["x"]
+    # supported in W_J and absorbing, but summing to 2
+    assert faults(e_j * 2, 1) == faults(eps_j * 2, -1) == ["x"]
