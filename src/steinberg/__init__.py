@@ -27,7 +27,6 @@ from .rootsys import (
     cartan_from_name,
     elements_jsonable,
     enumerate_weyl,
-    positive_roots,
     root_system,
     roots_jsonable,
     standard_cartan,
@@ -49,20 +48,16 @@ from .parabolic import (
 from .algebra import (
     AlgebraElement,
     SubspaceBasis,
-    add,
     anti_invariant_basis,
     average,
     biact,
     delta,
     invariant_basis,
-    mul,
     right_sign_eigenspace,
-    scale,
     sign_average,
     sign_idempotent,
     span_dimension,
     trivial_idempotent,
-    zero,
 )
 from .varieties import (
     ComponentReport,

@@ -201,23 +201,6 @@ def delta(w: WeylElement) -> AlgebraElement:
     return AlgebraElement._raw(w.group, {w.index: 1})
 
 
-def zero(group: WeylGroup) -> AlgebraElement:
-    return AlgebraElement._raw(group, {})
-
-
-def add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return a + b
-
-
-def scale(q, a: AlgebraElement) -> AlgebraElement:
-    return a.scale(q)
-
-
-def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Convolution product extending the group law bilinearly."""
-    return a * b
-
-
 def trivial_idempotent(group: WeylGroup, J) -> AlgebraElement:
     """e_J: uniform average over the parabolic W_J.  Satisfies e_J^2 = e_J."""
     members = parabolic_elements(group, J)
@@ -285,9 +268,8 @@ class _Reducer:
     row's pivot strictly drops and the loop ends.  A row left nonzero
     becomes a new pivot row, divided by the gcd of its entries.  Stored
     rows are never back-substituted, so k disjoint insertions cost O(k),
-    and the families reduced here (disjoint coset vectors, the kernel
-    differences delta_w - delta_rep with rep the smallest index of its
-    coset, the pairs delta_x - delta_xs) take a fresh pivot at once.
+    and the families reduced here (disjoint coset vectors, the pairs
+    delta_x - delta_xs) take a fresh pivot at once.
     """
 
     __slots__ = ("pivots",)

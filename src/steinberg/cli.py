@@ -198,7 +198,7 @@ def _table_doc(fmt, tag, roots, group, pairs) -> Iterator[str]:
         for J, K in pairs:
             pair = varieties.pair_profile(roots, J, K)
             ctx = varieties.pair_context(group, J, K)
-            cosets = len(ctx.dec_jk)
+            cosets = len(ctx.reps)
             inv = ctx.invariant.dimension
             anti = ctx.anti_invariant.dimension
             yield [_row(fmt, TABLE_COLUMNS, [
@@ -231,7 +231,7 @@ def _components_doc(fmt, tag, roots, group, pairs) -> Iterator[str]:
             ends = {eta: mid + _cell(eta) + tail + sep for eta in (False, True)}
             parts = []
             # index-level rows: the y_components reports would cost more than the text
-            for m, eta in varieties._component_reps(group, pair.J, pair.K):
+            for m, eta in parabolic._component_reps(group, pair.J, pair.K):
                 label = labels.get(m)
                 if label is None:
                     label = labels[m] = quote(group.elements[m].name)

@@ -12,6 +12,9 @@ lengths adding, I = J ∩ xKx^-1, so it is the longest element of W_J·x·w_K
 The decomposition is one pass over W in enumeration order: an element
 that is not minimal has a left descent in J or a right descent in K, and
 the shorter neighbour across it is an earlier element of the same coset.
+The representatives alone (``_component_reps``, ``maximal_reps``) come
+from the tables instead, never from that partition, so the two are
+independent engines for the same cosets.
 """
 
 from __future__ import annotations
@@ -19,17 +22,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import MixedGroups
-from .rootsys import WeylElement, WeylGroup, word_name, _normalize_subset
-
-
-def normalize_subset(rank: int, J) -> tuple[int, ...]:
-    """Sorted duplicate-free subset of {0, ..., rank-1}; raises InvalidSubset."""
-    return _normalize_subset(rank, J)
+from .rootsys import WeylElement, WeylGroup, normalize_subset, word_name
 
 
 def parabolic_elements(group: WeylGroup, J) -> tuple[WeylElement, ...]:
     """All elements of the standard parabolic W_J, in enumeration order."""
-    subset = _normalize_subset(group.rank, J)
+    subset = normalize_subset(group.rank, J)
     seen = {0}
     queue = [0]
     while queue:
@@ -86,8 +84,8 @@ def double_cosets(group: WeylGroup, J, K) -> DoubleCosetDecomposition:
     they have smaller indices and are already placed.  Cosets therefore come
     out ordered by min_rep, each with its members in enumeration order.
     """
-    subJ = _normalize_subset(group.rank, J)
-    subK = _normalize_subset(group.rank, K)
+    subJ = normalize_subset(group.rank, J)
+    subK = normalize_subset(group.rank, K)
     mask_j = sum(1 << j for j in subJ)
     mask_k = sum(1 << k for k in subK)
     rdesc = group._rdesc
@@ -117,6 +115,21 @@ def double_cosets(group: WeylGroup, J, K) -> DoubleCosetDecomposition:
     return DoubleCosetDecomposition(subJ, subK, tuple(cosets), tags)
 
 
+def _component_reps(group: WeylGroup, J, K) -> list[tuple[int, bool]]:
+    """(max rep index, eta) per (W_J, W_K) double coset, in coset order.
+
+    Read off the coset tables, not the partition of ``double_cosets``: the
+    min reps are the entries x of W^K with no left descent in J, in
+    enumeration order; each max rep is top_J[x·w_K].  eta: the max rep is
+    minimal.  Raises InvalidSubset on a bad subset.
+    """
+    mask_j, mask_k = _mask(group.rank, J), _mask(group.rank, K)
+    top, rdesc, inv = group._left_top(mask_j), group._rdesc, group._inv
+    quotient = group._right_quotient(mask_k).values()
+    tops = [top[xw] for left, xw in quotient if not left & mask_j]
+    return [(m, not (rdesc[inv[m]] & mask_j or rdesc[m] & mask_k)) for m in tops]
+
+
 def min_double_coset_rep(w: WeylElement, J, K) -> WeylElement:
     """Minimal-length element of W_J w W_K, by greedy descent removal."""
     group = w.group
@@ -143,7 +156,7 @@ def max_double_coset_rep(w: WeylElement, J, K) -> WeylElement:
 
 def _mask(rank: int, J) -> int:
     """Bit mask of a subset of the simple reflections; raises InvalidSubset."""
-    return sum(1 << j for j in _normalize_subset(rank, J))
+    return sum(1 << j for j in normalize_subset(rank, J))
 
 
 def is_minimal_in_double_coset(w: WeylElement, J, K) -> bool:
@@ -162,7 +175,7 @@ def is_minimal_in_double_coset(w: WeylElement, J, K) -> bool:
 
 def maximal_reps(group: WeylGroup, J, K) -> tuple[WeylElement, ...]:
     """Maximal-length representatives, one per (W_J, W_K) double coset."""
-    return tuple(c.max_rep for c in double_cosets(group, J, K).cosets)
+    return tuple(group.elements[m] for m, _ in _component_reps(group, J, K))
 
 
 def decomposition_jsonable(dec: DoubleCosetDecomposition) -> dict:

@@ -15,6 +15,7 @@ coefficients, report rows) inherits that order.
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -35,7 +36,11 @@ _PRODUCT_TABLE_LIMIT = 2500
 
 
 class CartanDatum(NamedTuple):
-    """A validated Cartan matrix with display labels for the simple roots."""
+    """A validated Cartan matrix with display labels for the simple roots.
+
+    ``type_name`` is the classification tag named by ``_classify`` from the
+    root closure, components joined with ``x`` (e.g. ``"A1xB3"``).
+    """
 
     matrix: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
@@ -95,12 +100,7 @@ def _closure(matrix: tuple[tuple[int, ...], ...], cap: int) -> list[tuple[int, .
     return sorted(seen, key=lambda v: (sum(v), tuple(-c for c in v)))
 
 
-def validate_cartan(
-    matrix,
-    labels=None,
-    *,
-    max_positive_roots: int = DEFAULT_ROOT_CAP,
-) -> CartanDatum:
+def validate_cartan(matrix, labels=None) -> CartanDatum:
     """Check the generalized Cartan conditions and finite type.
 
     Returns a :class:`CartanDatum` whose ``type_name`` is the standard
@@ -131,7 +131,7 @@ def validate_cartan(
                     f"entries ({i},{j}) and ({j},{i}) must vanish together"
                 )
     mat = tuple(rows)
-    _closure(mat, max_positive_roots)
+    roots = _closure(mat, DEFAULT_ROOT_CAP)
     if labels is None:
         labels = tuple(f"s{i + 1}" for i in range(rank))
     elif not isinstance(labels, (list, tuple)):
@@ -142,7 +142,7 @@ def validate_cartan(
             raise NotGeneralizedCartan(
                 f"{len(labels)} labels given for a rank {rank} matrix"
             )
-    return CartanDatum(matrix=mat, labels=labels, type_name=_classify(mat))
+    return CartanDatum(matrix=mat, labels=labels, type_name=_classify(mat, roots))
 
 
 _NAME_RE = re.compile(r"^([A-G])([0-9]+)$")
@@ -229,72 +229,38 @@ def _components(matrix) -> list[list[int]]:
     return comps
 
 
-def _perm_equivalent(a, b) -> bool:
-    """True iff some relabeling p gives a[p[i]][p[j]] == b[i][j] for all i, j.
+def _classify(matrix, roots) -> str | None:
+    """Classification tag of a finite type matrix from its positive roots.
 
-    Backtracking search: the indices of b are assigned in breadth-first
-    order over b's diagram, so each one after the first is a neighbour of
-    an assigned index, and a candidate must have the same row multiset and
-    agree with every row already assigned.  On a connected Dynkin diagram
-    that leaves at most three candidates per step past the first.
+    Each component is named by its rank n, its number of positive roots and
+    its largest bond a_ij·a_ji (Cartan–Killing; Kac, *Infinite-dimensional
+    Lie algebras*, §4.8): bond 3 is G2; bond 2 is F4 with 24 roots, else
+    B_n when the -2 lies in the row of an end node, else C_n (so C2 reads
+    as B2); bond 1 or none is A_n with n(n+1)/2 roots, D_n with n(n-1)
+    roots for n >= 4 (so D3 reads as A3), or E6/E7/E8 with 36/63/120.
     """
-    n = len(a)
-    if n != len(b):
-        return False
-    # cheap filter: multisets of sorted rows must agree
-    sig_a = [tuple(sorted(row)) for row in a]
-    sig_b = [tuple(sorted(row)) for row in b]
-    if sorted(sig_a) != sorted(sig_b):
-        return False
-    order: list[int] = []
-    for start in range(n):
-        if start in order:
-            continue
-        k = len(order)
-        order.append(start)
-        while k < len(order):
-            i = order[k]
-            k += 1
-            order.extend([j for j in range(n) if b[i][j] and j not in order])
-    perm = [0] * n
-    used = [False] * n
-
-    def extend(depth: int) -> bool:
-        if depth == n:
-            return True
-        i = order[depth]
-        done = order[:depth]
-        for p in range(n):
-            if used[p] or sig_a[p] != sig_b[i] or a[p][p] != b[i][i]:
-                continue
-            if all(
-                a[p][perm[j]] == b[i][j] and a[perm[j]][p] == b[j][i] for j in done
-            ):
-                perm[i] = p
-                used[p] = True
-                if extend(depth + 1):
-                    return True
-                used[p] = False
-        return False
-
-    return extend(0)
-
-
-def _classify(matrix) -> str | None:
-    # C2 and D3 are relabelings of B2 and A3, which are tried first
     tags = []
     for comp in _components(matrix):
-        sub = tuple(tuple(matrix[i][j] for j in comp) for i in comp)
-        for letter in "ABCDEFG":
-            try:
-                standard = standard_cartan(letter, len(comp))
-            except ParseError:
-                continue
-            if _perm_equivalent(sub, standard):
-                tags.append(f"{letter}{len(comp)}")
-                break
+        n = len(comp)
+        count = sum(1 for beta in roots if any(beta[i] for i in comp))
+        bond = max((matrix[i][j] * matrix[j][i] for i in comp for j in comp if i != j),
+                   default=0)
+        if bond == 3:
+            tag = "G2"
+        elif bond == 2 and count == 24:
+            tag = "F4"
+        elif bond == 2:
+            ends = [i for i in comp if sum(1 for j in comp if j != i and matrix[i][j]) == 1]
+            tag = ("B" if any(-2 in matrix[i] for i in ends) else "C") + str(n)
+        elif count == n * (n + 1) // 2:
+            tag = f"A{n}"
+        elif n >= 4 and count == n * (n - 1):
+            tag = f"D{n}"
+        elif (n, count) in ((6, 36), (7, 63), (8, 120)):
+            tag = f"E{n}"
         else:
             return None
+        tags.append(tag)
     tags.sort(key=lambda t: (t[0], int(t[1:])))
     return "x".join(tags)
 
@@ -330,11 +296,6 @@ class RootSystem:
 
 def root_system(datum: CartanDatum) -> RootSystem:
     return RootSystem(datum)
-
-
-def positive_roots(datum: CartanDatum) -> tuple[Root, ...]:
-    """Positive roots in enumeration order (height, then reverse-lex)."""
-    return RootSystem(datum).positive
 
 
 class _FoldedRow:
@@ -551,17 +512,17 @@ class WeylGroup:
     def product_index(self, x: int, y: int) -> int:
         return self.product_row(x)[y]
 
-    def _product_table(self) -> list[list[int]]:
-        # row x of the table: x*y = (x * y·s) * s, s the last letter of y, and
-        # y·s comes before y in enumeration order
-        right = self._right
-        steps = [(y, right[w[-1]], right[w[-1]][y]) for y, w in enumerate(self._words) if w]
-        table = []
-        for x in range(self.order):
-            row = [x] * self.order
-            for y, column, shorter in steps:
-                row[y] = column[row[shorter]]
-            table.append(row)
+    def _product_table(self) -> list[tuple[int, ...]]:
+        # x = p·s_i with p = x·s_i its canonical prefix, so x·y = p·(s_i·y):
+        # row x is row p, an earlier row, read through the column _left[i].
+        # An itemgetter of a column (order >= 2 entries) reads a whole row
+        # into an exactly sized tuple.
+        right, words = self._right, self._words
+        through = [itemgetter(*column) for column in self._left]
+        table = [tuple(range(self.order))]
+        for x in range(1, self.order):
+            i = words[x][-1]
+            table.append(through[i](table[right[i][x]]))
         return table
 
     def _left_top(self, mask: int) -> list[int]:
@@ -659,7 +620,7 @@ class WeylGroup:
         """Longest element of the standard parabolic on ``J`` (default: all)."""
         if J is None:
             J = range(self.rank)
-        subset = _normalize_subset(self.rank, J)
+        subset = normalize_subset(self.rank, J)
         x = 0
         moved = True
         while moved:
@@ -714,7 +675,8 @@ def enumerate_weyl(roots: RootSystem, order_cap: int = DEFAULT_ORDER_CAP) -> Wey
     return WeylGroup(roots, order_cap=order_cap)
 
 
-def _normalize_subset(rank: int, J) -> tuple[int, ...]:
+def normalize_subset(rank: int, J) -> tuple[int, ...]:
+    """Sorted duplicate-free subset of {0, ..., rank-1}; raises InvalidSubset."""
     out = []
     seen = set()
     for i in J:

@@ -9,10 +9,11 @@ recompute both sides of each dimension identity independently and report
 exact integer comparisons.
 
 The three per-pair verifiers share one ``PairContext`` from
-``pair_context``: the (W_J, W_K) and (W_K, W_J) decompositions, each from
-its own ``double_cosets`` call, plus the idempotents e_J, e_K, eps_J,
-eps_K and the invariant and anti-invariant bases, each built on first
-use.  Only the context of the most recent (group, J, K) is kept, so a
+``pair_context``: the (W_J, W_K) max reps read off the coset tables (the
+expected side), the (W_K, W_J) decomposition from one ``double_cosets``
+call (which indexes the computed side), plus the idempotents e_J, e_K,
+eps_J, eps_K and the invariant and anti-invariant bases, each built on
+first use.  Only the context of the most recent (group, J, K) is kept, so a
 sweep holds one pair's worth of vectors at a time; the idempotents come
 from a small cache keyed by (group, subset), so a sweep builds each once.
 """
@@ -132,48 +133,38 @@ def steinberg_components(group: WeylGroup) -> tuple[ComponentReport, ...]:
 def y_components(group: WeylGroup, J, K) -> tuple[ComponentReport, ...]:
     """Components of Y: one per maximal (W_J, W_K)-coset representative.
 
-    The labels come from ``_component_reps``, which reads the group's
-    per-subset coset tables.  Each component has dimension dim_flag_p +
-    dim_flag_q = dim_y (Y is equidimensional); the flag records whether the
-    labeling element is minimal in its coset, i.e. whether the projection
-    from Z preserved the dimension of the component it came from.
+    The labels come from ``parabolic._component_reps``, which reads the
+    group's per-subset coset tables.  Each component has dimension
+    dim_flag_p + dim_flag_q = dim_y (Y is equidimensional); the flag
+    records whether the labeling element is minimal in its coset, i.e.
+    whether the projection from Z preserved the dimension of the component
+    it came from.
     """
     profile = pair_profile(group.roots, J, K)
     elements = group.elements
     return tuple(
         ComponentReport(elements[m], profile.dim_x, profile.dim_y, eta)
-        for m, eta in _component_reps(group, profile.J, profile.K)
+        for m, eta in parabolic._component_reps(group, profile.J, profile.K)
     )
-
-
-def _component_reps(group: WeylGroup, J, K) -> list[tuple[int, bool]]:
-    """(max rep index, eta) per (W_J, W_K) double coset, J and K normalized.
-
-    The min reps are the entries x of W^K with no left descent in J, in
-    coset order; each max rep is top_J[x·w_K].  eta: the max rep is minimal.
-    """
-    mask_j, mask_k = sum(1 << j for j in J), sum(1 << k for k in K)
-    top, rdesc, inv = group._left_top(mask_j), group._rdesc, group._inv
-    quotient = group._right_quotient(mask_k).values()
-    tops = [top[xw] for left, xw in quotient if not left & mask_j]
-    return [(m, not (rdesc[inv[m]] & mask_j or rdesc[m] & mask_k)) for m in tops]
 
 
 class PairContext:
     """The work shared by every check of one parabolic pair (J, K).
 
-    ``dec_jk`` and ``dec_kj`` come from two separate ``double_cosets``
-    calls, not one derived from the other by inversion: ``dec_jk`` is the
-    expected side of the dimension reports, while ``dec_kj`` indexes the
-    vectors whose span is the computed side.  Idempotents and bases are
-    built on first use.
+    The two sides of each report come from different algorithms.  ``reps``
+    holds (max rep index, eta) per (W_J, W_K) coset from
+    ``parabolic._component_reps``, which reads the descent and top tables:
+    its length is the expected side of the three dimension reports.
+    ``dec_kj`` is the one-pass partition of ``double_cosets`` for
+    (W_K, W_J): it indexes the vectors whose span is the computed side.
+    Idempotents and bases are built on first use.
     """
 
     def __init__(self, group: WeylGroup, J: tuple[int, ...], K: tuple[int, ...]):
         self.group = group
         self.J = J
         self.K = K
-        self.dec_jk = parabolic.double_cosets(group, J, K)
+        self.reps = parabolic._component_reps(group, J, K)
         self.dec_kj = parabolic.double_cosets(group, K, J)
 
     @cached_property
@@ -263,7 +254,7 @@ def verify_invariant_isomorphism(group: WeylGroup, J, K) -> VerificationReport:
     """dim e_K QW e_J must equal the number of (W_J, W_K) double cosets."""
     ctx = pair_context(group, J, K)
     basis = ctx.invariant
-    expected = len(ctx.dec_jk)
+    expected = len(ctx.reps)
     computed = basis.dimension
     return VerificationReport(
         claim=f"invariant-dimension J={_fmt(ctx.J)} K={_fmt(ctx.K)}",
@@ -286,15 +277,14 @@ def verify_anti_invariant_isomorphism(group: WeylGroup, J, K) -> VerificationRep
     ``detail["absorption_fails"]`` names it.
     """
     ctx = pair_context(group, J, K)
-    reps = [coset.max_rep for coset in ctx.dec_jk.cosets]
     basis = ctx.anti_invariant
     faults = _absorption_faults(group, (
         ("eps_K", ctx.eps_k, ctx.K, group._right, -1),
         ("eps_J", ctx.eps_j, ctx.J, group._left, -1),
     ))
-    expected = len(reps)
+    expected = len(ctx.reps)
     computed = basis.dimension
-    detail = {"maximal_reps": [word_name(m.canonical_word) for m in reps]}
+    detail = {"maximal_reps": [word_name(group._words[m]) for m, _ in ctx.reps]}
     if faults:
         detail["absorption_fails"] = faults
     return VerificationReport(
@@ -358,13 +348,13 @@ def averaging_image_check(group: WeylGroup, J, K) -> VerificationReport:
       equal the coset's basis vector.  Every w of the coset is u·x·u'
       (Björner–Brenti §2.4), so the image of P is exactly the span of the
       basis and, P being idempotent, each basis vector is fixed.
-    - Kernel: the family δ_w - δ_{min rep}, row reduced as integer rows,
-      must have rank |W| - #cosets.
+    - Kernel: by rank–nullity it has dimension |W| - #cosets, which
+      ``detail["kernel_dim"]`` reports; nothing more is ranked for it.
 
-    The rank of the basis is compared with the (W_J, W_K) coset count.  On
-    failure, ``detail["first_unfixed"]`` names the min rep of the first
-    coset whose product differs from its vector, and
-    ``detail["absorption_fails"]`` the idempotents that do not absorb.
+    The rank of the basis is compared with the (W_J, W_K) coset count read
+    off the coset tables.  On failure, ``detail["first_unfixed"]`` names
+    the min rep of the first coset whose product differs from its vector,
+    and ``detail["absorption_fails"]`` the idempotents that do not absorb.
     """
     ctx = pair_context(group, J, K)
     basis = ctx.invariant
@@ -383,23 +373,11 @@ def averaging_image_check(group: WeylGroup, J, K) -> VerificationReport:
         None,
     )
     fixed = unfixed is None and len(vectors) == len(cosets)
-    reducer = algebra._Reducer()
-    kernel_dim = 0
-    for coset in cosets:
-        rep = coset.min_rep.index
-        for w in coset.elements:
-            if w.index != rep:
-                kernel_dim += reducer.insert({w.index: 1, rep: -1})
-    expected = len(ctx.dec_jk)
+    expected = len(ctx.reps)
     computed = basis.dimension
-    passed = (
-        fixed
-        and not faults
-        and computed == expected
-        and kernel_dim == group.order - computed
-    )
+    passed = fixed and not faults and computed == expected
     detail = {
-        "kernel_dim": kernel_dim,
+        "kernel_dim": group.order - len(cosets),
         "order": group.order,
         "basis_fixed_by_projector": fixed,
     }

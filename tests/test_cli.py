@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as hyp
 
-from steinberg import cli, varieties
+from steinberg import cli, parabolic, varieties
 from steinberg.algebra import SubspaceBasis
 from steinberg.varieties import VerificationReport
 
@@ -324,7 +324,7 @@ def test_out_file_unwritable(tmp_path, capsys, monkeypatch):
         raise AssertionError("a pair was computed before --out was opened")
 
     monkeypatch.setattr(varieties, "pair_context", refuse)
-    monkeypatch.setattr(varieties, "_component_reps", refuse)
+    monkeypatch.setattr(parabolic, "_component_reps", refuse)
     for command in ("table", "components", "verify"):
         code, out, err = run(capsys, [command, "--type", "D4", "--all-pairs",
                                       "--out", str(target)])

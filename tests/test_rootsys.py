@@ -18,7 +18,6 @@ from steinberg import (
     cartan_from_name,
     elements_jsonable,
     enumerate_weyl,
-    positive_roots,
     root_system,
     roots_jsonable,
     standard_cartan,
@@ -168,21 +167,21 @@ def test_standard_matrices():
 
 def test_positive_root_order_a2():
     # expected values computed once by the independent closure enumeration oracle, then frozen
-    roots = positive_roots(cartan_from_name("A2"))
+    roots = root_system(cartan_from_name("A2")).positive
     assert [r.coords for r in roots] == [(1, 0), (0, 1), (1, 1)]
 
 
 def test_positive_root_order_b2_g2():
     # expected values computed once by the independent closure enumeration, then frozen
-    assert [r.coords for r in positive_roots(cartan_from_name("B2"))] == [
+    assert [r.coords for r in root_system(cartan_from_name("B2")).positive] == [
         (1, 0), (0, 1), (1, 1), (1, 2)]
-    assert [r.coords for r in positive_roots(cartan_from_name("G2"))] == [
+    assert [r.coords for r in root_system(cartan_from_name("G2")).positive] == [
         (1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 3)]
 
 
 def test_positive_root_counts():
     for name, count in ROOT_COUNTS.items():
-        roots = positive_roots(cartan_from_name(name))
+        roots = root_system(cartan_from_name(name)).positive
         assert len(roots) == count, name
         assert all(r.is_positive for r in roots)
         heights = [r.height for r in roots]

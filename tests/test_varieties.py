@@ -374,12 +374,13 @@ def test_pair_verifiers_share_one_context(monkeypatch):
         averaging_image_check(g, J, K),
     ]
     assert all(r.passed for r in reports)
-    # one (J, K) and one (K, J) decomposition, computed separately
-    assert counts["double_cosets"] == 2
+    # one (K, J) decomposition for the computed side; the expected side
+    # reads the coset tables, not a second decomposition
+    assert counts["double_cosets"] == 1
     # e_J, e_K, eps_J, eps_K, each built once
     assert counts["parabolic_elements"] <= 4
     # invariant basis (shared) and anti-invariant basis; the averaging check
-    # ranks its kernel family on integer rows, with no span_dimension call
+    # ranks nothing of its own
     assert counts["span_dimension"] == 2
     # the invariant and averaging reports witness with the same basis
     assert reports[0].witness is reports[2].witness
@@ -450,6 +451,99 @@ def test_mutation_fails_its_report(name, kind):
     finally:
         varieties._pair_context.cache_clear()
     assert averaging_image_check(g, (0,), (1,)).passed
+
+
+PAIR_REPORTS = [
+    verify_invariant_isomorphism,
+    verify_anti_invariant_isomorphism,
+    averaging_image_check,
+]
+
+
+def _sweep_failures(g):
+    """(report, J, K) of every failing pair report of a fresh context."""
+    subsets = orc.all_subsets(g.rank)
+    varieties._pair_context.cache_clear()
+    try:
+        return [
+            (report.__name__, J, K)
+            for J in subsets
+            for K in subsets
+            for report in PAIR_REPORTS
+            if not report(g, J, K).passed
+        ]
+    finally:
+        varieties._pair_context.cache_clear()
+
+
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_expected_side_mutation_fails_every_report(monkeypatch, name):
+    # the coset tables lose their last representative: the expected side
+    # shrinks while the decomposition behind the computed side is intact
+    real = parabolic._component_reps
+    monkeypatch.setattr(parabolic, "_component_reps", lambda *args: real(*args)[:-1])
+    g = _group(name)
+    subsets = orc.all_subsets(g.rank)
+    failures = set(_sweep_failures(g))
+    for J in subsets:
+        for K in subsets:
+            for report in PAIR_REPORTS:
+                assert (report.__name__, J, K) in failures
+
+
+def _merge_last_two(dec):
+    """``dec`` with its last two cosets merged into one."""
+    *cosets, a, b = dec.cosets
+    elements = tuple(sorted(a.elements + b.elements, key=lambda w: w.index))
+    cosets.append(parabolic.DoubleCoset(elements, elements[0], elements[-1]))
+    index = list(dec._coset_index)
+    for w in b.elements:
+        index[w.index] = len(cosets) - 1
+    return parabolic.DoubleCosetDecomposition(dec.J, dec.K, tuple(cosets), index)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_computed_side_mutation_fails_every_report(monkeypatch, name):
+    real = parabolic.double_cosets
+
+    def merged(group, J, K):
+        dec = real(group, J, K)
+        return _merge_last_two(dec) if len(dec) >= 2 else dec
+
+    monkeypatch.setattr(parabolic, "double_cosets", merged)
+    g = _group(name)
+    subsets = orc.all_subsets(g.rank)
+    failures = set(_sweep_failures(g))
+    for J in subsets:
+        for K in subsets:
+            many = len(real(g, K, J)) >= 2
+            for report in PAIR_REPORTS:
+                assert ((report.__name__, J, K) in failures) == many, (report, J, K)
+
+
+def _swap_two_transpositions(column):
+    """An involution that differs from ``column`` on four points: its first
+    two transpositions (a b)(c d) become (a d)(c b)."""
+    (a, b), (c, d) = [(x, y) for x, y in enumerate(column) if x < y][:2]
+    out = list(column)
+    out[a], out[d], out[c], out[b] = d, a, b, c
+    return out
+
+
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_wrong_right_multiplication_fails_the_sweep(name):
+    # right_index(·, s) turns wrong: the descent walks of double_cosets and
+    # the absorption checks read it.  The product table is a separate table,
+    # built first from the true one (its build indexes earlier rows through
+    # _right, so a wrong column could send it to a row not yet built).
+    for s in range(3):
+        g = _group(name)  # fresh, so no context or idempotent predates the fault
+        g.product_row(0)
+        wrong = _swap_two_transpositions(g._right[s])
+        assert wrong != g._right[s]
+        assert all(wrong[wrong[x]] == x != wrong[x] for x in range(g.order))
+        g._right[s] = wrong
+        assert _sweep_failures(g), s
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
