@@ -12,6 +12,7 @@ here rounds.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
@@ -67,7 +68,10 @@ class AlgebraElement:
     def _raw(
         cls, group: WeylGroup, num: dict[int, int], d: int = 1
     ) -> AlgebraElement:
-        """The element num / d in lowest terms (zeros dropped); needs d > 0."""
+        """The element num / d in lowest terms (zeros dropped); needs d > 0.
+
+        ``num`` must be a fresh dict: the element may keep it as it is.
+        """
         out = cls.__new__(cls)
         out.group = group
         out._n, out._d = _lowest(num, d)
@@ -186,14 +190,50 @@ def _exact(q) -> int | Fraction:
 
 
 def _lowest(num: dict[int, int], d: int) -> tuple[dict[int, int], int]:
-    """num / d divided by gcd(d, *num.values()), zero numerators dropped."""
+    """num / d divided by gcd(d, *num.values()), zero numerators dropped.
+
+    ``num`` itself is returned when it is already in lowest terms, so it
+    must be a dict that nothing else holds or changes.
+    """
     g = gcd(d, *num.values())
+    if g == 1 and all(num.values()):
+        return num, d
     return {x: n // g for x, n in num.items() if n}, d // g
 
 
 def _same_group(a: AlgebraElement, b: AlgebraElement) -> None:
     if a.group is not b.group:
         raise MixedGroups("operands live in different group algebras")
+
+
+def _sandwiches(
+    a: AlgebraElement, xs, b: AlgebraElement
+) -> Iterator[AlgebraElement]:
+    """a·δ_x·b for each x in xs, in order: one convolution pass for all x.
+
+    a's product rows and b's keys and numerators are fetched once.  For
+    each x, δ_x·b is read off one row as (x·v, b_v) pairs; the double loop
+    then accumulates the integer products a_u·b_v at u·x·v, and one
+    lowest-terms step over a._d·b._d follows, as in ``__mul__``.  The
+    products are yielded one at a time, so a caller that compares each
+    with something holds only one of them.
+    """
+    group = a.group
+    _same_group(a, b)
+    product_row = group.product_row
+    left = [(product_row(u), n) for u, n in a._n.items()]
+    keys, nums = list(b._n), list(b._n.values())
+    d = a._d * b._d
+    for x in xs:
+        if x.group is not group:
+            raise MixedGroups("sandwiched element lives in a different group")
+        xb = list(zip(map(product_row(x.index).__getitem__, keys), nums))
+        acc: dict[int, int] = {}
+        for row, m in left:
+            for y, n in xb:
+                k = row[y]
+                acc[k] = acc.get(k, 0) + m * n
+        yield AlgebraElement._raw(group, acc, d)
 
 
 def delta(w: WeylElement) -> AlgebraElement:
@@ -338,19 +378,20 @@ def invariant_basis(group: WeylGroup, J, K) -> SubspaceBasis:
 
 
 def _invariant_basis(group: WeylGroup, dec_kj) -> SubspaceBasis:
-    vectors = []
-    for coset in dec_kj.cosets:
-        vectors.append(
-            AlgebraElement._raw(group, {w.index: 1 for w in coset.elements}, coset.size)
-        )
-    return span_dimension(vectors)
+    raw = AlgebraElement._raw
+    return span_dimension([
+        raw(group, dict.fromkeys([w.index for w in c.elements], 1), c.size)
+        for c in dec_kj.cosets
+    ])
 
 
 def anti_invariant_basis(group: WeylGroup, J, K) -> SubspaceBasis:
     """Basis of eps_K QW eps_J: sign-averaged maximal coset representatives.
 
-    Exact zeros (cosets whose sign character is not free) are discarded
-    before row reduction.
+    No vector is zero: the coefficient of w in eps_K·δ_m·eps_J is
+    sgn(w)·sgn(m)·#{(u, u') in W_K x W_J : u·m·u' = w}/(|W_K|·|W_J|), which
+    is nonzero on the whole coset of m.  (Zeros arise only in the mixed
+    space e_K·QW·eps_J, where the two twists can cancel.)
     """
     return _anti_invariant_basis(
         double_cosets(group, K, J),
@@ -360,13 +401,10 @@ def anti_invariant_basis(group: WeylGroup, J, K) -> SubspaceBasis:
 
 
 def _anti_invariant_basis(dec_kj, eps_k, eps_j) -> SubspaceBasis:
-    """eps_k * delta(max_rep) * eps_j per coset of dec_kj, zeros dropped."""
-    vectors = []
-    for coset in dec_kj.cosets:
-        v = eps_k * delta(coset.max_rep) * eps_j
-        if v:
-            vectors.append(v)
-    return span_dimension(vectors)
+    """eps_k·δ_m·eps_j for the max rep m of each coset of dec_kj, ranked."""
+    return span_dimension(
+        _sandwiches(eps_k, [c.max_rep for c in dec_kj.cosets], eps_j)
+    )
 
 
 def right_sign_eigenspace(group: WeylGroup, s: int) -> SubspaceBasis:

@@ -15,6 +15,7 @@ coefficients, report rows) inherits that order.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -391,8 +392,8 @@ class WeylGroup:
     that never multiply two arbitrary elements never pay for it.  The
     per-subset coset tables (``_left_top`` and ``_right_quotient``, keyed
     by the subset's bit mask) are likewise built on first use, at most one
-    per subset and side.  Canonical-word names (``word_names``) are
-    rendered on first use too.
+    per subset and side.  Canonical-word names are rendered on first use
+    too: all of them by ``word_names``, one at a time by ``word_name_of``.
     """
 
     __slots__ = (
@@ -402,6 +403,7 @@ class WeylGroup:
         "order",
         "_words",
         "_names",
+        "_named",
         "_length",
         "_rdesc",
         "_right",
@@ -479,6 +481,7 @@ class WeylGroup:
         ]
 
         self._names = None
+        self._named: dict[int, str] = {}
         self._table = None
         self._tops: dict[int, list[int]] = {}
         self._quotients: dict[int, dict[int, tuple[int, int]]] = {}
@@ -561,6 +564,13 @@ class WeylGroup:
         if self._names is None:
             self._names = [word_name(word) for word in self._words]
         return self._names
+
+    def word_name_of(self, x: int) -> str:
+        """``word_name`` of one canonical word, rendered on its first use."""
+        name = self._named.get(x)
+        if name is None:
+            name = self._named[x] = word_name(self._words[x])
+        return name
 
     def inverse_index(self, x: int) -> int:
         return self._inv[x]
@@ -675,8 +685,23 @@ def enumerate_weyl(roots: RootSystem, order_cap: int = DEFAULT_ORDER_CAP) -> Wey
     return WeylGroup(roots, order_cap=order_cap)
 
 
+_INT = frozenset((int,))
+
+
 def normalize_subset(rank: int, J) -> tuple[int, ...]:
-    """Sorted duplicate-free subset of {0, ..., rank-1}; raises InvalidSubset."""
+    """Sorted duplicate-free subset of {0, ..., rank-1}; raises InvalidSubset.
+
+    A valid tuple of plain ints is normalized once per (rank, J) and
+    remembered, so a sweep that hands the same tuples around pays once.
+    Any other input (a list, a bool or float entry, anything invalid) takes
+    the full check every time.
+    """
+    if type(J) is tuple and _INT.issuperset(map(type, J)):
+        return _normalize_int_tuple(rank, J)
+    return _normalize(rank, J)
+
+
+def _normalize(rank: int, J) -> tuple[int, ...]:
     out = []
     seen = set()
     for i in J:
@@ -689,6 +714,10 @@ def normalize_subset(rank: int, J) -> tuple[int, ...]:
         seen.add(i)
         out.append(i)
     return tuple(sorted(out))
+
+
+# a raise is never remembered, so an invalid tuple is checked each time
+_normalize_int_tuple = lru_cache(maxsize=1024)(_normalize)
 
 
 def roots_jsonable(roots: RootSystem) -> list[list[int]]:

@@ -15,7 +15,8 @@ call (which indexes the computed side), plus the idempotents e_J, e_K,
 eps_J, eps_K and the invariant and anti-invariant bases, each built on
 first use.  Only the context of the most recent (group, J, K) is kept, so a
 sweep holds one pair's worth of vectors at a time; the idempotents come
-from a small cache keyed by (group, subset), so a sweep builds each once.
+from a small cache keyed by (group, subset), so a sweep builds each once
+and checks its absorption once.
 """
 
 from __future__ import annotations
@@ -221,6 +222,12 @@ def _idempotent(group: WeylGroup, J: tuple[int, ...], sign: bool) -> AlgebraElem
     return make(group, J)
 
 
+# One entry per (idempotent, side): 4·2^l of them in a sweep of rank l,
+# so the bound covers every sweep up to rank 6.
+_ABSORPTION_MEMO_SIZE = 256
+_absorbed: dict[tuple, tuple] = {}
+
+
 def _absorption_faults(group: WeylGroup, checks) -> list[str]:
     """Names of the idempotents that are not the one they claim to be.
 
@@ -231,23 +238,45 @@ def _absorption_faults(group: WeylGroup, checks) -> list[str]:
     that makes c_u = twist^l(u)·c_e, and Σ twist^l(u)·c_u = 1 fixes
     c_e = 1/|W_subset|: e is the idempotent, so e² = e.  No product is formed.
     """
+    return [
+        name
+        for name, e, subset, table, twist in checks
+        if not _absorbs(group, e, tuple(subset), table, twist)
+    ]
+
+
+def _absorbs(group: WeylGroup, e: AlgebraElement, subset, table, twist) -> bool:
+    """``_absorption_holds``, evaluated once per idempotent and side.
+
+    The memo keys on the identities of e and the table and keeps both, so
+    neither id can pass to another object while its entry lives; any other
+    element is checked afresh.
+    """
+    key = (id(e), subset, id(table), twist)
+    hit = _absorbed.get(key)
+    if hit is not None and hit[0] is e and hit[1] is table:
+        return hit[2]
+    ok = _absorption_holds(group, e, subset, table, twist)
+    if len(_absorbed) >= _ABSORPTION_MEMO_SIZE:
+        del _absorbed[next(iter(_absorbed))]
+    _absorbed[key] = (e, table, ok)
+    return ok
+
+
+def _absorption_holds(group: WeylGroup, e: AlgebraElement, subset, table, twist) -> bool:
+    """One check of ``_absorption_faults``, read off the tables."""
     words, length = group._words, group._length
-    faults = []
-    for name, e, subset, table, twist in checks:
-        num, letters = e._n, set(subset)
-        moved = [twist * n for n in num.values()]
-        ok = (
-            all(map(letters.issuperset, map(words.__getitem__, num)))
-            and all(
-                list(map(num.get, map(table[s].__getitem__, num))) == moved
-                for s in subset
-            )
-            and sum(-n if twist < 0 and length[x] % 2 else n for x, n in num.items())
-            == e._d
+    num, letters = e._n, set(subset)
+    moved = [twist * n for n in num.values()]
+    return (
+        all(map(letters.issuperset, map(words.__getitem__, num)))
+        and all(
+            list(map(num.get, map(table[s].__getitem__, num))) == moved
+            for s in subset
         )
-        if not ok:
-            faults.append(name)
-    return faults
+        and sum(-n if twist < 0 and length[x] % 2 else n for x, n in num.items())
+        == e._d
+    )
 
 
 def verify_invariant_isomorphism(group: WeylGroup, J, K) -> VerificationReport:
@@ -284,7 +313,8 @@ def verify_anti_invariant_isomorphism(group: WeylGroup, J, K) -> VerificationRep
     ))
     expected = len(ctx.reps)
     computed = basis.dimension
-    detail = {"maximal_reps": [word_name(group._words[m]) for m, _ in ctx.reps]}
+    name = group.word_name_of
+    detail = {"maximal_reps": [name(m) for m, _ in ctx.reps]}
     if faults:
         detail["absorption_fails"] = faults
     return VerificationReport(
@@ -316,7 +346,7 @@ def hotta_verification(group: WeylGroup, s: int) -> VerificationReport:
     length, left = group._length, group._left[s]
     descents = [w for w in group.elements if length[left[w.index]] < length[w.index]]
     minimal = parabolic.is_minimal_in_double_coset
-    nonminimal = [w for w in group.elements if not minimal(w, [s], [])]
+    nonminimal = [w for w in group.elements if not minimal(w, (s,), ())]
     sets_match = descents == nonminimal
     passed = eigen.dimension == half == len(descents) and sets_match and not unnegated
     detail = {
@@ -345,7 +375,8 @@ def averaging_image_check(group: WeylGroup, J, K) -> VerificationReport:
       so e_K and e_J are the idempotents and P(δ_{u·x·u'}) = P(δ_x) for u
       in W_K, u' in W_J.
     - One product per (W_K, W_J) coset: e_K·δ_x·e_J for its min rep x must
-      equal the coset's basis vector.  Every w of the coset is u·x·u'
+      equal the coset's basis vector.  All of them come from one
+      ``algebra._sandwiches`` pass.  Every w of the coset is u·x·u'
       (Björner–Brenti §2.4), so the image of P is exactly the span of the
       basis and, P being idempotent, each basis vector is fixed.
     - Kernel: by rank–nullity it has dimension |W| - #cosets, which
@@ -364,11 +395,13 @@ def averaging_image_check(group: WeylGroup, J, K) -> VerificationReport:
         ("e_J", e_j, ctx.J, group._left, 1),
     ))
     cosets, vectors = ctx.dec_kj.cosets, basis.vectors
+    reps = [c.min_rep for c in cosets]
+    images = algebra._sandwiches(e_k, reps, e_j)
     unfixed = next(
         (
-            c.min_rep
-            for i, c in enumerate(cosets)
-            if i == len(vectors) or e_k * algebra.delta(c.min_rep) * e_j != vectors[i]
+            x
+            for i, (x, image) in enumerate(zip(reps, images))
+            if i == len(vectors) or image != vectors[i]
         ),
         None,
     )

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as hyp
 import oracles as orc
 from steinberg import (
     InvalidSubset, MixedGroups, algebra, cartan_from_name, enumerate_weyl, root_system,
+    rootsys,
 )
 from steinberg.algebra import (
     AlgebraElement,
@@ -387,6 +388,40 @@ def test_product_matches_naive_convolution(name, terms):
         assert dict((a * b).items()) == _naive_product(g, a, b, index_map)
 
 
+def _rationals(data, g):
+    """An element of QW with a few terms, negatives and zeros among them."""
+    return AlgebraElement(g, {
+        x: Fraction(data.draw(hyp.integers(-4, 4)), data.draw(hyp.integers(1, 6)))
+        for x in data.draw(hyp.lists(hyp.integers(0, g.order - 1), max_size=8, unique=True))
+    })
+
+
+@pytest.mark.parametrize("folded", [False, True])
+@settings(deadline=None, max_examples=30)
+@given(data=hyp.data())
+def test_sandwiches_match_two_products(folded, data):
+    name = data.draw(hyp.sampled_from(["A3", "B3", "G2"]))
+    with pytest.MonkeyPatch.context() as mp:
+        if folded:  # a fresh group that folds words for every product
+            mp.setattr(rootsys, "_PRODUCT_TABLE_LIMIT", 0)
+        g = _group(name)
+        a, b = _rationals(data, g), _rationals(data, g)
+        # repeated entries allowed
+        xs = [g.elements[i] for i in data.draw(hyp.lists(hyp.integers(0, g.order - 1)))]
+        assert list(algebra._sandwiches(a, xs, b)) == [a * delta(x) * b for x in xs]
+        if folded:
+            assert g._table is None
+
+
+def test_sandwiches_cancel_to_zero():
+    g = _group("A2")
+    e, s = delta(g.identity), delta(g.simple_reflection(0))
+    [v] = algebra._sandwiches(e - s, [g.identity], e + s)
+    assert v.is_zero() and (v._n, v._d) == ({}, 1)
+    with pytest.raises(MixedGroups):
+        list(algebra._sandwiches(e, [_group("A2").identity], e))
+
+
 def test_invariant_basis_dimensions():
     for name in SMALL:
         g = _group(name)
@@ -431,6 +466,17 @@ def test_anti_invariant_max_rep_coefficient():
                     c = dec.coset_of(v.support[0])
                     q = v.coefficient(c.max_rep)
                     assert abs(q) == Fraction(1, c.size)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_anti_invariant_vectors_cover_their_cosets(name):
+    # no coefficient cancels, so no vector is zero and none needs dropping
+    g = _group(name)
+    for J in orc.all_subsets(g.rank):
+        for K in orc.all_subsets(g.rank):
+            cosets = double_cosets(g, K, J).cosets
+            vectors = anti_invariant_basis(g, J, K).vectors
+            assert [v.support for v in vectors] == [c.elements for c in cosets]
 
 
 def test_right_sign_eigenspace_frozen():

@@ -36,6 +36,24 @@ def test_normalize_subset():
         normalize_subset(3, ["1"])
 
 
+def test_normalize_subset_remembers_only_plain_int_tuples():
+    # the valid tuple is remembered; inputs equal to it but not plain ints
+    # (bools, floats) and invalid tuples still take the full check
+    for _ in range(2):
+        assert normalize_subset(3, (2, 1)) == (1, 2)
+        assert normalize_subset(3, [2, 1]) == (1, 2)
+        for bad in [(True,), (2.0, 1), (1, 1), (3,), (2, True)]:
+            with pytest.raises(InvalidSubset):
+                normalize_subset(3, bad)
+    assert normalize_subset(3, (1,)) == (1,)
+    with pytest.raises(InvalidSubset):
+        normalize_subset(3, (True,))
+    # the same tuple is checked against each rank
+    assert normalize_subset(4, (3,)) == (3,)
+    with pytest.raises(InvalidSubset):
+        normalize_subset(3, (3,))
+
+
 def test_parabolic_elements_examples():
     g = _group("A2")
     assert [w.name for w in parabolic_elements(g, [])] == ["e"]

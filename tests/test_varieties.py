@@ -11,6 +11,7 @@ from steinberg import (
     enumerate_weyl,
     parabolic,
     root_system,
+    rootsys,
     varieties,
 )
 from steinberg.parabolic import double_cosets, maximal_reps
@@ -569,21 +570,36 @@ def test_averaging_image_is_the_literal_image(name):
             assert orc.dense_rank(image + list(vectors), g.order) == rank
 
 
-def test_averaging_check_multiplies_twice_per_coset(monkeypatch):
-    g = _group("D4")  # a fresh group, so the context and its basis are built here
+def test_checks_make_one_sandwich_pass_per_pair(monkeypatch):
+    g = _group("D4")  # a fresh group, so the context and its bases are built here
     J, K = [0, 1], [2, 3]
-    calls = []
-    real = algebra.AlgebraElement.__mul__
+    products, passes = [], []
+    real_mul, real_sandwiches = algebra.AlgebraElement.__mul__, algebra._sandwiches
 
-    def counted(self, other):
-        calls.append(1)
-        return real(self, other)
+    def counted_mul(self, other):
+        products.append(1)
+        return real_mul(self, other)
 
-    monkeypatch.setattr(algebra.AlgebraElement, "__mul__", counted)
-    r = averaging_image_check(g, J, K)
-    assert r.passed
-    # e_K·δ_x·e_J for each coset's min rep x, and no other product
-    assert len(calls) == 2 * len(varieties.pair_context(g, J, K).dec_kj)
+    def counted_sandwiches(a, xs, b):
+        xs = list(xs)
+        passes.append((a, xs, b))
+        return real_sandwiches(a, xs, b)
+
+    monkeypatch.setattr(algebra.AlgebraElement, "__mul__", counted_mul)
+    monkeypatch.setattr(algebra, "_sandwiches", counted_sandwiches)
+    ctx = varieties.pair_context(g, J, K)
+    cosets = ctx.dec_kj.cosets
+    assert averaging_image_check(g, J, K).passed
+    # e_K·δ_x·e_J for each coset's min rep x, in coset order, in one pass
+    [(a, xs, b)] = passes
+    assert a is ctx.e_k and b is ctx.e_j
+    assert xs == [c.min_rep for c in cosets]
+    passes.clear()
+    assert verify_anti_invariant_isomorphism(g, J, K).passed
+    [(a, xs, b)] = passes
+    assert a is ctx.eps_k and b is ctx.eps_j
+    assert xs == [c.max_rep for c in cosets]
+    assert products == []
 
 
 def test_sweep_builds_each_idempotent_once_per_subset(monkeypatch):
@@ -602,6 +618,37 @@ def test_sweep_builds_each_idempotent_once_per_subset(monkeypatch):
         "sign_idempotent": len(subsets),
         "parabolic_elements": 2 * len(subsets),
     }
+
+
+def test_sweep_checks_each_absorption_once(monkeypatch):
+    g = _group("A3")  # a fresh group, so no absorption of it is remembered yet
+    checked = []
+    real = varieties._absorption_holds
+
+    def counted(group, e, subset, table, twist):
+        checked.append((subset, twist, "right" if table is g._right else "left"))
+        return real(group, e, subset, table, twist)
+
+    monkeypatch.setattr(varieties, "_absorption_holds", counted)
+    subsets = orc.all_subsets(g.rank)
+    for _ in range(2):
+        assert not _sweep_failures(g)
+    # e and eps of each subset, each on the one side its report tests
+    assert len(checked) == len(set(checked)) == 4 * len(subsets)
+
+
+def test_anti_invariant_sweep_names_each_rep_once(monkeypatch):
+    g = _group("A3")  # a fresh group, so none of its names is rendered yet
+    named = []
+    real = rootsys.word_name
+    monkeypatch.setattr(rootsys, "word_name", lambda word: named.append(word) or real(word))
+    reps = set()
+    subsets = orc.all_subsets(g.rank)
+    for J in subsets:
+        for K in subsets:
+            reps.update(verify_anti_invariant_isomorphism(g, J, K).detail["maximal_reps"])
+    assert len(named) == len(set(named)) == len(reps)
+    assert {real(word) for word in named} == reps
 
 
 def test_absorption_needs_support_translation_and_sum():
