@@ -124,23 +124,9 @@ class AlgebraElement:
         )
 
     def __mul__(self, other):
-        """Convolution product, or scaling by an int or Fraction.
-
-        The double loop fetches one product row per left term and
-        accumulates integer products of numerators per output element; one
-        gcd normalisation over the product of the denominators follows.
-        """
+        """Convolution product self·δ_e·other, or scaling by an int or Fraction."""
         if isinstance(other, AlgebraElement):
-            _same_group(self, other)
-            product_row = self.group.product_row
-            right = list(other._n.items())
-            acc: dict[int, int] = {}
-            for x, a in self._n.items():
-                row = product_row(x)
-                for y, b in right:
-                    k = row[y]
-                    acc[k] = acc.get(k, 0) + a * b
-            return AlgebraElement._raw(self.group, acc, self._d * other._d)
+            return next(_sandwiches(self, [self.group.identity], other))
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -214,9 +200,9 @@ def _sandwiches(
     a's product rows and b's keys and numerators are fetched once.  For
     each x, δ_x·b is read off one row as (x·v, b_v) pairs; the double loop
     then accumulates the integer products a_u·b_v at u·x·v, and one
-    lowest-terms step over a._d·b._d follows, as in ``__mul__``.  The
-    products are yielded one at a time, so a caller that compares each
-    with something holds only one of them.
+    lowest-terms step over a._d·b._d follows.  The products are yielded
+    one at a time, so a caller that compares each with something holds
+    only one of them.  ``a * b`` is the case xs = [e].
     """
     group = a.group
     _same_group(a, b)

@@ -75,7 +75,8 @@ def _closure(matrix: tuple[tuple[int, ...], ...], cap: int) -> list[tuple[int, .
     Applying a simple reflection to a positive root changes one coordinate;
     the result is either positive again or the negated simple root itself,
     so it suffices to keep the all-nonnegative images.  Divergence of this
-    loop is exactly failure of finite type, hence the cap.
+    loop is exactly failure of finite type, hence the cap; a finite type
+    with more roots than the cap (A49 has 1,225) is refused as well.
     """
     rank = len(matrix)
     simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
@@ -95,7 +96,8 @@ def _closure(matrix: tuple[tuple[int, ...], ...], cap: int) -> list[tuple[int, .
                     fresh.append(gamma)
         if len(seen) > cap:
             raise NotFiniteType(
-                f"root closure exceeded {cap} positive roots; matrix is not of finite type"
+                f"root closure exceeded {cap} positive roots; matrix is not of "
+                f"finite type, or its root system is larger than the cap"
             )
         frontier = fresh
     return sorted(seen, key=lambda v: (sum(v), tuple(-c for c in v)))
@@ -394,6 +396,10 @@ class WeylGroup:
     by the subset's bit mask) are likewise built on first use, at most one
     per subset and side.  Canonical-word names are rendered on first use
     too: all of them by ``word_names``, one at a time by ``word_name_of``.
+    ``varieties`` keeps the rest of its per-group state here, so it lives
+    and dies with the group: ``_pair``, the context of the last (J, K)
+    checked, and ``_idempotents``, per (subset, sign) the idempotent and
+    its absorption verdict per side.
     """
 
     __slots__ = (
@@ -412,6 +418,8 @@ class WeylGroup:
         "_table",
         "_tops",
         "_quotients",
+        "_pair",
+        "_idempotents",
         "identity",
         "simple",
     )
@@ -485,6 +493,8 @@ class WeylGroup:
         self._table = None
         self._tops: dict[int, list[int]] = {}
         self._quotients: dict[int, dict[int, tuple[int, int]]] = {}
+        self._pair = None
+        self._idempotents: dict[tuple[tuple[int, ...], bool], tuple] = {}
 
         self.elements: tuple[WeylElement, ...] = tuple(
             WeylElement(self, x, words[x]) for x in range(order)

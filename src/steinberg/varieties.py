@@ -13,16 +13,16 @@ The three per-pair verifiers share one ``PairContext`` from
 expected side), the (W_K, W_J) decomposition from one ``double_cosets``
 call (which indexes the computed side), plus the idempotents e_J, e_K,
 eps_J, eps_K and the invariant and anti-invariant bases, each built on
-first use.  Only the context of the most recent (group, J, K) is kept, so a
-sweep holds one pair's worth of vectors at a time; the idempotents come
-from a small cache keyed by (group, subset), so a sweep builds each once
-and checks its absorption once.
+first use.  The group keeps the context of its most recent (J, K), so a
+sweep holds one pair's worth of vectors at a time, and per (subset, sign)
+the idempotent and its absorption verdicts, so a sweep builds each once
+and checks its absorption once.  All of it is freed with the group.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from functools import cached_property, lru_cache
+from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -196,36 +196,26 @@ class PairContext:
 
 
 def pair_context(group: WeylGroup, J, K) -> PairContext:
-    """The shared context of (J, K); raises InvalidSubset on a bad subset."""
-    return _pair_context(
-        group,
-        parabolic.normalize_subset(group.rank, J),
-        parabolic.normalize_subset(group.rank, K),
-    )
+    """The shared context of (J, K); raises InvalidSubset on a bad subset.
 
-
-@lru_cache(maxsize=1)
-def _pair_context(
-    group: WeylGroup, J: tuple[int, ...], K: tuple[int, ...]
-) -> PairContext:
-    return PairContext(group, J, K)
-
-
-@lru_cache(maxsize=128)
-def _idempotent(group: WeylGroup, J: tuple[int, ...], sign: bool) -> AlgebraElement:
-    """eps_J (sign) or e_J of a normalized subset, shared by every pair.
-
-    A sweep over all pairs of a rank-l group uses 2^(l+1) of them, so the
-    bound covers every sweep up to rank 6.
+    The group keeps the last one built in ``_pair``; setting that to None
+    makes the next call build afresh.
     """
-    make = algebra.sign_idempotent if sign else algebra.trivial_idempotent
-    return make(group, J)
+    J = parabolic.normalize_subset(group.rank, J)
+    K = parabolic.normalize_subset(group.rank, K)
+    ctx = group._pair
+    if ctx is None or ctx.J != J or ctx.K != K:
+        ctx = group._pair = PairContext(group, J, K)
+    return ctx
 
 
-# One entry per (idempotent, side): 4·2^l of them in a sweep of rank l,
-# so the bound covers every sweep up to rank 6.
-_ABSORPTION_MEMO_SIZE = 256
-_absorbed: dict[tuple, tuple] = {}
+def _idempotent(group: WeylGroup, J: tuple[int, ...], sign: bool) -> AlgebraElement:
+    """eps_J (sign) or e_J of a normalized subset, built once per group."""
+    entry = group._idempotents.get((J, sign))
+    if entry is None:
+        make = algebra.sign_idempotent if sign else algebra.trivial_idempotent
+        entry = group._idempotents[J, sign] = (make(group, J), {})
+    return entry[0]
 
 
 def _absorption_faults(group: WeylGroup, checks) -> list[str]:
@@ -246,20 +236,19 @@ def _absorption_faults(group: WeylGroup, checks) -> list[str]:
 
 
 def _absorbs(group: WeylGroup, e: AlgebraElement, subset, table, twist) -> bool:
-    """``_absorption_holds``, evaluated once per idempotent and side.
+    """``_absorption_holds``, evaluated once per stored idempotent and side.
 
-    The memo keys on the identities of e and the table and keeps both, so
-    neither id can pass to another object while its entry lives; any other
-    element is checked afresh.
+    The verdict is kept beside the group's own idempotent of (subset,
+    twist), keyed by side (``table`` is the group's ``_right`` or
+    ``_left``); any other element is checked afresh.
     """
-    key = (id(e), subset, id(table), twist)
-    hit = _absorbed.get(key)
-    if hit is not None and hit[0] is e and hit[1] is table:
-        return hit[2]
-    ok = _absorption_holds(group, e, subset, table, twist)
-    if len(_absorbed) >= _ABSORPTION_MEMO_SIZE:
-        del _absorbed[next(iter(_absorbed))]
-    _absorbed[key] = (e, table, ok)
+    entry = group._idempotents.get((subset, twist < 0))
+    if entry is None or entry[0] is not e:
+        return _absorption_holds(group, e, subset, table, twist)
+    verdicts, side = entry[1], table is group._right
+    ok = verdicts.get(side)
+    if ok is None:
+        ok = verdicts[side] = _absorption_holds(group, e, subset, table, twist)
     return ok
 
 

@@ -128,6 +128,25 @@ def test_validate_rejects_affine():
         validate_cartan([[2, -2], [-2, 2]])
 
 
+@pytest.mark.parametrize("name, matrix", [
+    ("A49", standard_cartan("A", 49)),  # finite, 1,225 positive roots
+    ("affine A1", [[2, -2], [-2, 2]]),  # infinite
+])
+def test_root_cap_refusal_names_both_causes(name, matrix, tmp_path, capsys):
+    # the cap cannot tell a large finite type from an infinite one
+    with pytest.raises(NotFiniteType) as caught:
+        validate_cartan(matrix)
+    message = str(caught.value)
+    assert message == (
+        "root closure exceeded 1200 positive roots; matrix is not of finite "
+        "type, or its root system is larger than the cap"
+    ), name
+    path = tmp_path / "cartan.json"
+    path.write_text(json.dumps({"matrix": [list(row) for row in matrix]}))
+    assert cli.main(["table", "--cartan", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("matrix", [
     [[2, -1]],                       # not square
     [[1, -1], [-1, 2]],              # diagonal entry not 2

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -288,10 +289,8 @@ def test_averaging_image_check_names_first_unfixed_vector():
     assert "first_unfixed" not in averaging_image_check(g, J, K).detail
     ctx = varieties.pair_context(g, J, K)
     ctx.e_j = ctx.e_k  # a wrong right projector: e_{s1} in place of e_J = 1
-    try:
-        r = averaging_image_check(g, J, K)
-    finally:
-        varieties._pair_context.cache_clear()
+    r = averaging_image_check(g, J, K)
+    g._pair = None  # the next check of g builds a true context again
     assert not r.passed
     assert r.detail["basis_fixed_by_projector"] is False
     # (W_K, W_J) cosets by min rep: e, s2, s2s1, s2s1s2; the second is not fixed
@@ -402,6 +401,26 @@ def test_pair_context_never_crosses_groups():
                 assert all(v.group is g for v in r.witness.vectors)
 
 
+def test_dropped_group_is_freed():
+    # the pair context, idempotents and absorption verdicts live on the
+    # group, so nothing outside it keeps the group alive once dropped
+    g = _group("D4")
+    roots = g.roots
+    J, K = [0, 1], [2, 3]
+    for report in (
+        verify_invariant_isomorphism,
+        verify_anti_invariant_isomorphism,
+        averaging_image_check,
+    ):
+        assert report(g, J, K).passed
+    assert hotta_verification(g, 0).passed
+    del g, report
+    gc.collect()
+    assert not [
+        obj for obj in gc.get_objects()
+        if isinstance(obj, WeylGroup) and obj.roots is roots
+    ]
+
 
 def _set_delta_e(attr):
     return lambda ctx: setattr(ctx, attr, algebra.delta(ctx.group.identity))
@@ -443,14 +462,12 @@ def test_mutation_fails_its_report(name, kind):
         for K in subsets
         if side is None or (J if side == "J" else K)
     ]
-    try:
-        for J, K in pairs:
-            for report in reports:
-                varieties._pair_context.cache_clear()
-                mutate(varieties.pair_context(g, J, K))
-                assert not report(g, J, K).passed, (report.__name__, J, K)
-    finally:
-        varieties._pair_context.cache_clear()
+    for J, K in pairs:
+        for report in reports:
+            g._pair = None  # a fresh context, so no earlier fault carries over
+            mutate(varieties.pair_context(g, J, K))
+            assert not report(g, J, K).passed, (report.__name__, J, K)
+    g._pair = None
     assert averaging_image_check(g, (0,), (1,)).passed
 
 
@@ -464,17 +481,14 @@ PAIR_REPORTS = [
 def _sweep_failures(g):
     """(report, J, K) of every failing pair report of a fresh context."""
     subsets = orc.all_subsets(g.rank)
-    varieties._pair_context.cache_clear()
-    try:
-        return [
-            (report.__name__, J, K)
-            for J in subsets
-            for K in subsets
-            for report in PAIR_REPORTS
-            if not report(g, J, K).passed
-        ]
-    finally:
-        varieties._pair_context.cache_clear()
+    g._pair = None
+    return [
+        (report.__name__, J, K)
+        for J in subsets
+        for K in subsets
+        for report in PAIR_REPORTS
+        if not report(g, J, K).passed
+    ]
 
 
 @pytest.mark.parametrize("name", ["A3", "B3"])
