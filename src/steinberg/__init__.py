@@ -25,10 +25,8 @@ from .rootsys import (
     WeylElement,
     WeylGroup,
     cartan_from_name,
-    elements_jsonable,
     enumerate_weyl,
     root_system,
-    roots_jsonable,
     standard_cartan,
     validate_cartan,
     word_name,
@@ -36,7 +34,6 @@ from .rootsys import (
 from .parabolic import (
     DoubleCoset,
     DoubleCosetDecomposition,
-    decomposition_jsonable,
     double_cosets,
     is_minimal_in_double_coset,
     max_double_coset_rep,

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .errors import InvalidSubset, MixedGroups
 from .parabolic import double_cosets, parabolic_elements
-from .rootsys import WeylElement, WeylGroup, word_name
+from .rootsys import WeylElement, WeylGroup
 
 
 class AlgebraElement:
@@ -147,11 +147,7 @@ class AlgebraElement:
     def __repr__(self) -> str:
         if not self._n:
             return "0"
-        parts = []
-        for w, q in self.items():
-            name = word_name(w.canonical_word) or "e"
-            parts.append(f"{q}*{name}")
-        return " + ".join(parts)
+        return " + ".join(f"{q}*{w.name}" for w, q in self.items())
 
     def to_jsonable(self) -> dict[str, str]:
         """Canonical word -> coefficient string, identity rendered as "".
@@ -159,12 +155,12 @@ class AlgebraElement:
         Each coefficient is written as ``str(Fraction)`` writes it, "n" or
         "n/d" in lowest terms, straight from its numerator.
         """
-        names, num, d = self.group.word_names(), self._n, self._d
+        name, num, d = self.group.word_name_of, self._n, self._d
         out = {}
         for x in sorted(num):
             n = num[x]
             g = gcd(n, d)
-            out[names[x]] = f"{n // g}/{d // g}" if g != d else str(n // g)
+            out[name(x)] = f"{n // g}/{d // g}" if g != d else str(n // g)
         return out
 
 

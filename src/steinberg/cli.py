@@ -29,6 +29,7 @@ from .errors import (
 )
 from .rootsys import (
     DEFAULT_ORDER_CAP,
+    _split_type_name,
     cartan_from_name,
     enumerate_weyl,
     root_system,
@@ -87,23 +88,30 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _load_group(args):
+    if isinstance(args.order_cap, list):  # argparse reads --order-cap=-- as []
+        raise ParseError("argument --order-cap: invalid int value: '--'")
     if args.type is not None:
-        datum = cartan_from_name(args.type)
+        rank = _split_type_name(args.type)[1]
     else:
         try:
             with open(args.cartan, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
         except OSError as exc:
             raise ParseError(f"cannot read {args.cartan}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to read
             raise ParseError(f"invalid JSON in {args.cartan}: {exc}") from exc
         except RecursionError as exc:
             raise ParseError(f"JSON in {args.cartan} is nested too deeply") from exc
         if not isinstance(payload, dict) or "matrix" not in payload:
             raise ParseError(f"{args.cartan} must contain a 'matrix' key")
-        datum = validate_cartan(payload["matrix"], payload.get("labels"))
-    if isinstance(args.order_cap, list):  # argparse reads --order-cap=-- as []
-        raise ParseError("argument --order-cap: invalid int value: '--'")
+        rank = len(payload["matrix"]) if isinstance(payload["matrix"], list) else 0
+    # a Weyl group of rank r has order at least 2^r, which A1^r attains, so this
+    # refuses nothing the cap admits, before any work of order rank^2 or rank^3
+    if rank >= args.order_cap.bit_length():
+        raise OrderCapExceeded(f"rank {rank} gives a group order of at least 2^rank, "
+                               f"above cap {args.order_cap}")
+    datum = (cartan_from_name(args.type) if args.type is not None
+             else validate_cartan(payload["matrix"], payload.get("labels")))
     roots = root_system(datum)
     group = enumerate_weyl(roots, order_cap=args.order_cap)
     return datum, roots, group

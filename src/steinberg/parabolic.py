@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import MixedGroups
-from .rootsys import WeylElement, WeylGroup, normalize_subset, word_name
+from .rootsys import WeylElement, WeylGroup, normalize_subset
 
 
 def parabolic_elements(group: WeylGroup, J) -> tuple[WeylElement, ...]:
@@ -177,18 +176,3 @@ def maximal_reps(group: WeylGroup, J, K) -> tuple[WeylElement, ...]:
     """Maximal-length representatives, one per (W_J, W_K) double coset."""
     return tuple(group.elements[m] for m, _ in _component_reps(group, J, K))
 
-
-def decomposition_jsonable(dec: DoubleCosetDecomposition) -> dict:
-    """JSON form: subsets plus min/max canonical words and size per coset."""
-    return {
-        "J": list(dec.J),
-        "K": list(dec.K),
-        "cosets": [
-            {
-                "min": word_name(c.min_rep.canonical_word),
-                "max": word_name(c.max_rep.canonical_word),
-                "size": c.size,
-            }
-            for c in dec.cosets
-        ],
-    }

@@ -198,12 +198,21 @@ def standard_cartan(letter: str, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in m)
 
 
-def cartan_from_name(name: str) -> CartanDatum:
-    """Parse a type tag like ``"B3"`` into a validated Cartan datum."""
+def _split_type_name(name: str) -> tuple[str, int]:
+    """The letter and rank of a type tag like ``"B3"``; raises ParseError."""
     match = _NAME_RE.match(name.strip())
     if not match:
         raise ParseError(f"cannot parse type name {name!r}")
-    letter, n = match.group(1), int(match.group(2))
+    letter, digits = match.groups()
+    try:
+        return letter, int(digits)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"type {letter} rank has {len(digits)} digits, too many to read") from None
+
+
+def cartan_from_name(name: str) -> CartanDatum:
+    """Parse a type tag like ``"B3"`` into a validated Cartan datum."""
+    letter, n = _split_type_name(name)
     try:
         matrix = standard_cartan(letter, n)
     except ParseError:
@@ -358,9 +367,6 @@ class WeylElement:
     def name(self) -> str:
         return word_name(self.canonical_word) or "e"
 
-    def inverse(self) -> WeylElement:
-        return self.group.invert(self)
-
     def __mul__(self, other):
         if isinstance(other, WeylElement):
             return self.group.multiply(self, other)
@@ -394,12 +400,11 @@ class WeylGroup:
     that never multiply two arbitrary elements never pay for it.  The
     per-subset coset tables (``_left_top`` and ``_right_quotient``, keyed
     by the subset's bit mask) are likewise built on first use, at most one
-    per subset and side.  Canonical-word names are rendered on first use
-    too: all of them by ``word_names``, one at a time by ``word_name_of``.
-    ``varieties`` keeps the rest of its per-group state here, so it lives
-    and dies with the group: ``_pair``, the context of the last (J, K)
-    checked, and ``_idempotents``, per (subset, sign) the idempotent and
-    its absorption verdict per side.
+    per subset and side.  Canonical-word names are rendered one at a time
+    on first use, by ``word_name_of``.  ``varieties`` keeps the rest of its
+    per-group state here, so it lives and dies with the group: ``_pair``,
+    the context of the last (J, K) checked, and ``_idempotents``, per
+    (subset, sign) the idempotent and its absorption verdict per side.
     """
 
     __slots__ = (
@@ -408,7 +413,6 @@ class WeylGroup:
         "rank",
         "order",
         "_words",
-        "_names",
         "_named",
         "_length",
         "_rdesc",
@@ -488,7 +492,6 @@ class WeylGroup:
             [inv[right[i][inv[x]]] for x in range(order)] for i in range(rank)
         ]
 
-        self._names = None
         self._named: dict[int, str] = {}
         self._table = None
         self._tops: dict[int, list[int]] = {}
@@ -569,12 +572,6 @@ class WeylGroup:
             }
         return quotient
 
-    def word_names(self) -> list[str]:
-        """``word_name`` of each canonical word by index, rendered on first use."""
-        if self._names is None:
-            self._names = [word_name(word) for word in self._words]
-        return self._names
-
     def word_name_of(self, x: int) -> str:
         """``word_name`` of one canonical word, rendered on its first use."""
         name = self._named.get(x)
@@ -630,10 +627,6 @@ class WeylGroup:
 
     def right_descents(self, w: WeylElement) -> tuple[int, ...]:
         mask = self._rdesc[w.index]
-        return tuple(i for i in range(self.rank) if mask >> i & 1)
-
-    def left_descents(self, w: WeylElement) -> tuple[int, ...]:
-        mask = self._rdesc[self._inv[w.index]]
         return tuple(i for i in range(self.rank) if mask >> i & 1)
 
     def longest_element(self, J=None) -> WeylElement:
@@ -729,12 +722,3 @@ def _normalize(rank: int, J) -> tuple[int, ...]:
 # a raise is never remembered, so an invalid tuple is checked each time
 _normalize_int_tuple = lru_cache(maxsize=1024)(_normalize)
 
-
-def roots_jsonable(roots: RootSystem) -> list[list[int]]:
-    """Positive roots as coordinate lists, in enumeration order."""
-    return [list(r.coords) for r in roots.positive]
-
-
-def elements_jsonable(group: WeylGroup) -> list[str]:
-    """Canonical words of all elements in enumeration order ("" = identity)."""
-    return list(group.word_names())

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from . import algebra, parabolic
 from .algebra import AlgebraElement, SubspaceBasis
-from .rootsys import RootSystem, WeylElement, WeylGroup, word_name
+from .rootsys import RootSystem, WeylElement, WeylGroup
 
 
 class GeometryProfile(NamedTuple):
@@ -345,7 +345,7 @@ def hotta_verification(group: WeylGroup, s: int) -> VerificationReport:
         "descent_set_is_nonminimal_set": sets_match,
     }
     if unnegated:
-        detail["first_not_negated"] = word_name(unnegated[0].support[0].canonical_word)
+        detail["first_not_negated"] = group.word_name_of(unnegated[0].support[0].index)
     return VerificationReport(
         claim=f"hotta s={s + 1}",
         expected=half,
@@ -404,7 +404,7 @@ def averaging_image_check(group: WeylGroup, J, K) -> VerificationReport:
         "basis_fixed_by_projector": fixed,
     }
     if unfixed is not None:
-        detail["first_unfixed"] = word_name(unfixed.canonical_word)
+        detail["first_unfixed"] = group.word_name_of(unfixed.index)
     if faults:
         detail["absorption_fails"] = faults
     return VerificationReport(
@@ -417,16 +417,15 @@ def averaging_image_check(group: WeylGroup, J, K) -> VerificationReport:
     )
 
 
-def report_jsonable(report: VerificationReport, include_witness: bool = True) -> dict:
+def report_jsonable(report: VerificationReport) -> dict:
+    vecs = report.witness.vectors if report.witness is not None else ()
     out = {
         "claim": report.claim,
         "expected": report.expected,
         "computed": report.computed,
         "passed": report.passed,
+        "witness": [v.to_jsonable() for v in vecs],
     }
-    if include_witness:
-        vecs = report.witness.vectors if report.witness is not None else ()
-        out["witness"] = [v.to_jsonable() for v in vecs]
     if report.detail:
         out["detail"] = report.detail
     return out

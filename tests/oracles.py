@@ -12,7 +12,6 @@ elimination (not the sparse reducer).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from operator import invert
 
 
@@ -110,14 +109,25 @@ def permutation_bfs(roots) -> dict[str, list]:
     }
 
 
-@lru_cache(maxsize=8)
+_ROOT_PERMS: dict = {}  # CartanDatum -> root_perms; one entry per matrix, no group
+
+
 def root_perms(group) -> tuple[tuple[int, ...], ...]:
     """Each element's signed permutation of the positive roots, by index.
 
-    Built once per group from the canonical words and ``simple_perms``: a
-    canonical word less its last letter is the canonical word of an earlier
-    element, so each element costs one composition.
+    Built once per Cartan datum from the canonical words and
+    ``simple_perms``: a canonical word less its last letter is the canonical
+    word of an earlier element, so each element costs one composition.
+    Enumeration is a pure function of the matrix, so every group of one
+    datum has these permutations, and keying by the datum keeps no group.
     """
+    perms = _ROOT_PERMS.get(group.roots.datum)
+    if perms is None:
+        perms = _ROOT_PERMS[group.roots.datum] = _root_perms(group)
+    return perms
+
+
+def _root_perms(group) -> tuple[tuple[int, ...], ...]:
     simple = simple_perms(group.roots)
     by_word: dict[tuple[int, ...], int] = {}
     perms: list[tuple[int, ...]] = []

@@ -537,12 +537,25 @@ def test_to_jsonable_names_each_element_once(monkeypatch):
     assert sorted(named) == sorted(w.canonical_word for w in g)
 
 
+def test_to_jsonable_names_only_its_support(monkeypatch):
+    from steinberg import rootsys
+
+    g = _group("B3")  # a fresh group, so none of its names is rendered yet
+    real = rootsys.word_name
+    named = []
+    monkeypatch.setattr(rootsys, "word_name", lambda word: named.append(word) or real(word))
+    w0 = g.longest_element()
+    v = delta(g.identity) - delta(w0)
+    assert v.to_jsonable() == {"": "1", real(w0.canonical_word): "-1"}
+    assert sorted(named) == sorted([(), w0.canonical_word])
+
+
 def test_to_jsonable_writes_fractions_from_integers(monkeypatch):
     g = _group("B2")
     coeffs = [Fraction(1, 6), Fraction(-1, 3), Fraction(2), Fraction(-7, 4), Fraction(5, 12)]
     v = AlgebraElement(g, dict(zip(range(len(coeffs)), coeffs)))
     # the coefficients share the denominator 12, and each is reduced on its own
-    expected = {g.word_names()[x]: str(q) for x, q in enumerate(coeffs)}
+    expected = {g.word_name_of(x): str(q) for x, q in enumerate(coeffs)}
 
     class NoFraction(Fraction):
         def __new__(cls, *args, **kwargs):

@@ -290,6 +290,79 @@ def test_cartan_file_nested_past_recursion_limit(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _one_error_line(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "", argv
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err[:200]
+    assert "Traceback" not in err
+    return err
+
+
+# Python refuses to convert integers of more than 4,300 digits from text
+_TOO_LONG = "9" * 5000
+
+
+def test_type_rank_too_long_to_read(capsys):
+    err = _one_error_line(capsys, ["table", "--type", "A" + _TOO_LONG])
+    assert err == "error: type A rank has 5000 digits, too many to read\n"
+
+
+@pytest.mark.parametrize("payload", [
+    '{"matrix": [[' + _TOO_LONG + "]]}",
+    '{"matrix": [[2]], "labels": [' + _TOO_LONG + "]}",
+], ids=["entry", "label"])
+def test_cartan_file_integer_too_long_to_read(tmp_path, capsys, payload):
+    path = tmp_path / "long.json"
+    path.write_text(payload)
+    err = _one_error_line(capsys, ["table", "--cartan", str(path)])
+    assert err.startswith(f"error: invalid JSON in {path}: ")
+
+
+def test_cartan_file_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"matrix": [[2]], "labels": ["\xe9"]}')
+    _one_error_line(capsys, ["table", "--cartan", str(path)])
+
+
+@pytest.mark.parametrize("source, rank", [
+    (["--type", "A100000"], 100000),
+    (["--type", "A" + "9" * 4000], None),  # readable, but its matrix would never finish
+    (["--type", "D200"], 200),
+    (["--cartan", "diagonal.json"], 64),
+], ids=["A100000", "A4000digits", "D200", "diagonal64"])
+def test_rank_above_order_cap_refused_before_any_matrix_work(
+        tmp_path, capsys, monkeypatch, source, rank):
+    from steinberg import rootsys
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rank checked after the matrix work began")
+
+    monkeypatch.setattr(rootsys, "standard_cartan", forbidden)
+    monkeypatch.setattr(rootsys, "_closure", forbidden)
+    if source[0] == "--cartan":
+        path = tmp_path / source[1]
+        path.write_text(json.dumps({"matrix": [
+            [2 if i == j else 0 for j in range(rank)] for i in range(rank)]}))
+        source = ["--cartan", str(path)]
+    err = _one_error_line(capsys, ["table", *source])
+    if rank is not None:
+        assert err == (f"error: rank {rank} gives a group order of at least 2^rank, "
+                       "above cap 51840\n")
+
+
+def test_rank_bound_admits_what_the_cap_admits(tmp_path, capsys):
+    # A1^3 has order exactly 2^3, so a cap of 8 admits it and 7 refuses its rank
+    path = tmp_path / "a1cubed.json"
+    path.write_text(json.dumps({"matrix": [[2, 0, 0], [0, 2, 0], [0, 0, 2]]}))
+    code, out, _ = run(capsys, ["table", "--cartan", str(path), "--order-cap", "8"])
+    assert code == 0 and out.splitlines()[2].startswith("| A1xA1xA1 |")
+    err = _one_error_line(capsys, ["table", "--cartan", str(path), "--order-cap", "7"])
+    assert err == "error: rank 3 gives a group order of at least 2^rank, above cap 7\n"
+    # above the rank bound, the cap itself still refuses A3 (order 24)
+    err = _one_error_line(capsys, ["table", "--type", "A3", "--order-cap", "8"])
+    assert err == "error: group order exceeds cap 8\n"
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.csv"
     code, out, _ = run(capsys, ["table", "--type", "A2", "--p", "0", "--q", "1",

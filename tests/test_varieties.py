@@ -344,8 +344,6 @@ def test_report_jsonable():
     assert len(d["witness"]) == 2
     assert all(isinstance(v, dict) for v in d["witness"])
     assert d["detail"] == {"cosets": 2}
-    slim = report_jsonable(r, include_witness=False)
-    assert "witness" not in slim
 
 
 def _count_calls(monkeypatch, module, name, counts):
