@@ -93,12 +93,23 @@ def _load_group(args):
     if args.type is not None:
         rank = _split_type_name(args.type)[1]
     else:
+        def read_int(text: str) -> int:
+            try:
+                return int(text)
+            except ValueError:  # more digits than int() converts; the JSON is valid
+                raise ParseError(
+                    f"an integer in {args.cartan} has {len(text.lstrip('-'))} digits, "
+                    f"more than the {sys.get_int_max_str_digits()} that can be read"
+                ) from None
+
         try:
             with open(args.cartan, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
+                payload = json.load(handle, parse_int=read_int)
         except OSError as exc:
             raise ParseError(f"cannot read {args.cartan}: {exc}") from exc
-        except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to read
+        except ParseError:
+            raise
+        except ValueError as exc:  # bad JSON or bad UTF-8
             raise ParseError(f"invalid JSON in {args.cartan}: {exc}") from exc
         except RecursionError as exc:
             raise ParseError(f"JSON in {args.cartan} is nested too deeply") from exc
@@ -219,24 +230,32 @@ def _table_doc(fmt, tag, roots, group, pairs) -> Iterator[str]:
     return _document(fmt, envelope, TABLE_COLUMNS, batches())
 
 
-_LABEL, _ETA = "\x00label", "\x00eta"  # placeholders; no cell can hold them
-
-
 def _components_doc(fmt, tag, roots, group, pairs) -> Iterator[str]:
     sep = ",\n" if fmt == "json" else "\n"
     quote = json.dumps if fmt == "json" else str
+    # every cell but the type varies, so the row is rendered once per document
+    # with a placeholder in each of them (no cell can hold one) and cut around
+    # them into its fixed pieces; a row is then those pieces joined with its
+    # cells' text (names s1s2..., e need no csv quoting; eta and the dimensions
+    # are true/false and integers, the same text in every format)
+    slots = [f"\x00{column}" for column in COMPONENT_COLUMNS[1:]]
+    fixed = [_row(fmt, COMPONENT_COLUMNS, [tag, *slots])]
+    for slot in slots:
+        fixed[-1:] = fixed[-1].split(quote(slot))
+    # a subset's cell is the same text as J and as K: cut once per subset out
+    # of a one-cell row, as the placeholder is cut out of its own
+    before, after = _row(fmt, ["J"], [slots[0]]).split(quote(slots[0]))
+    cells = {S: _row(fmt, ["J"], [S]).removeprefix(before).removesuffix(after)
+             for S in set(chain.from_iterable(pairs))}
     labels: dict[int, str] = {}  # element index -> rendered label, on first use
 
     def batches():
         for J, K in pairs:
             pair = varieties.pair_profile(roots, J, K)
-            # Y is equidimensional, so only the label and eta vary within a
-            # pair: its row is rendered once, as head + label + mid + eta + tail
-            # (names s1s2..., e need no csv quoting; eta is true/false everywhere)
-            row = _row(fmt, COMPONENT_COLUMNS, [tag, J, K, _LABEL, pair.dim_x, pair.dim_y, _ETA])
-            head, rest = row.split(quote(_LABEL))
-            mid, tail = rest.split(quote(_ETA))
-            ends = {eta: mid + _cell(eta) + tail + sep for eta in (False, True)}
+            # Y is equidimensional, so only the label and eta vary within a pair
+            head = fixed[0] + cells[J] + fixed[1] + cells[K] + fixed[2]
+            mid = fixed[3] + _cell(pair.dim_x) + fixed[4] + _cell(pair.dim_y) + fixed[5]
+            ends = {eta: mid + _cell(eta) + fixed[6] + sep for eta in (False, True)}
             parts = []
             # index-level rows: the y_components reports would cost more than the text
             for m, eta in parabolic._component_reps(group, pair.J, pair.K):

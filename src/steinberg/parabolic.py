@@ -7,7 +7,10 @@ minimum is reached greedily from any member.  The maximum over a minimal x
 is top_J[x·w_K], read from the group's per-subset tables (``_left_top``
 and ``_right_quotient``, built on first use): it is (w_J·w_I)·x·w_K with
 lengths adding, I = J ∩ xKx^-1, so it is the longest element of W_J·x·w_K
-(Björner–Brenti, *Combinatorics of Coxeter Groups*, ch. 2).
+(Björner–Brenti, *Combinatorics of Coxeter Groups*, ch. 2).  W^K is kept
+grouped by left descent mask, each member's position beside x·w_K, so
+the min reps of a pair are the groups whose mask misses J: a pair costs
+its cosets plus its groups, not a scan of W^K.
 
 The decomposition is one pass over W in enumeration order: an element
 that is not minimal has a left descent in J or a right descent in K, and
@@ -19,6 +22,7 @@ independent engines for the same cosets.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 from .rootsys import WeylElement, WeylGroup, normalize_subset
@@ -118,15 +122,17 @@ def _component_reps(group: WeylGroup, J, K) -> list[tuple[int, bool]]:
     """(max rep index, eta) per (W_J, W_K) double coset, in coset order.
 
     Read off the coset tables, not the partition of ``double_cosets``: the
-    min reps are the entries x of W^K with no left descent in J, in
+    min reps are the members x of W^K with no left descent in J, that is
+    the groups of W^K whose descent mask misses J, merged back into
     enumeration order; each max rep is top_J[x·w_K].  eta: the max rep is
     minimal.  Raises InvalidSubset on a bad subset.
     """
     mask_j, mask_k = _mask(group.rank, J), _mask(group.rank, K)
     top, rdesc, inv = group._left_top(mask_j), group._rdesc, group._inv
-    quotient = group._right_quotient(mask_k).values()
-    tops = [top[xw] for left, xw in quotient if not left & mask_j]
-    return [(m, not (rdesc[inv[m]] & mask_j or rdesc[m] & mask_k)) for m in tops]
+    groups, xw = group._right_quotient(mask_k)
+    mins = sorted(chain.from_iterable(ps for d, ps in groups.items() if not d & mask_j))
+    maxs = [top[xw[p]] for p in mins]
+    return [(m, not (rdesc[inv[m]] & mask_j or rdesc[m] & mask_k)) for m in maxs]
 
 
 def min_double_coset_rep(w: WeylElement, J, K) -> WeylElement:
@@ -149,8 +155,10 @@ def max_double_coset_rep(w: WeylElement, J, K) -> WeylElement:
     """Maximal-length element of W_J w W_K: top_J[x·w_K] for its min rep x."""
     group = w.group
     x = min_double_coset_rep(w, J, K).index
-    top = group._left_top(_mask(group.rank, J))
-    return group.elements[top[group._right_quotient(_mask(group.rank, K))[x][1]]]
+    top_j = group._left_top(_mask(group.rank, J))
+    top_k, inv = group._left_top(_mask(group.rank, K)), group._inv
+    # x·w_K, the top of x·W_K, is the inverse of the top of W_K·x^-1
+    return group.elements[top_j[inv[top_k[inv[x]]]]]
 
 
 def _mask(rank: int, J) -> int:

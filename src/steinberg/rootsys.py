@@ -400,11 +400,14 @@ class WeylGroup:
     that never multiply two arbitrary elements never pay for it.  The
     per-subset coset tables (``_left_top`` and ``_right_quotient``, keyed
     by the subset's bit mask) are likewise built on first use, at most one
-    per subset and side.  Canonical-word names are rendered one at a time
-    on first use, by ``word_name_of``.  ``varieties`` keeps the rest of its
-    per-group state here, so it lives and dies with the group: ``_pair``,
-    the context of the last (J, K) checked, and ``_idempotents``, per
-    (subset, sign) the idempotent and its absorption verdict per side.
+    per subset and side: top_J is a list over W, and W^K is stored as
+    positions grouped by left descent mask beside a list of the tops
+    x·w_K, so a filter on left descents reads groups, not members.
+    Canonical-word names are rendered one at a time on first use, by
+    ``word_name_of``.  ``varieties`` keeps the rest of its per-group state
+    here, so it lives and dies with the group: ``_pair``, the context of
+    the last (J, K) checked, and ``_idempotents``, per (subset, sign) the
+    idempotent and its absorption verdict per side.
     """
 
     __slots__ = (
@@ -495,7 +498,7 @@ class WeylGroup:
         self._named: dict[int, str] = {}
         self._table = None
         self._tops: dict[int, list[int]] = {}
-        self._quotients: dict[int, dict[int, tuple[int, int]]] = {}
+        self._quotients: dict[int, tuple[dict[int, list[int]], list[int]]] = {}
         self._pair = None
         self._idempotents: dict[tuple[tuple[int, ...], bool], tuple] = {}
 
@@ -557,19 +560,25 @@ class WeylGroup:
                     top[y] = top[left[(up & -up).bit_length() - 1][y]]
         return top
 
-    def _right_quotient(self, mask: int) -> dict[int, tuple[int, int]]:
-        """W^K in enumeration order, K as a bit mask: x -> (left descents, x·w_K).
+    def _right_quotient(self, mask: int) -> tuple[dict[int, list[int]], list[int]]:
+        """W^K grouped by left descents, K as a bit mask: ``(groups, tops)``.
 
-        x·w_K, the top of x·W_K, is the inverse of the top of W_K·x^-1.
+        With x_0, x_1, ... the members of W^K in enumeration order,
+        ``groups[d]`` holds the ascending positions p whose x_p has left
+        descent mask d, and ``tops[p]`` is x_p·w_K, the top of x_p·W_K: the
+        inverse of the top of W_K·x_p^-1.
         """
         quotient = self._quotients.get(mask)
         if quotient is None:
             rdesc, inv, top = self._rdesc, self._inv, self._left_top(mask)
-            quotient = self._quotients[mask] = {
-                x: (rdesc[inv[x]], inv[top[inv[x]]])
-                for x in range(self.order)
-                if not rdesc[x] & mask
-            }
+            groups: dict[int, list[int]] = {}
+            tops: list[int] = []
+            for x in range(self.order):
+                if not rdesc[x] & mask:
+                    y = inv[x]
+                    groups.setdefault(rdesc[y], []).append(len(tops))
+                    tops.append(inv[top[y]])
+            quotient = self._quotients[mask] = (groups, tops)
         return quotient
 
     def word_name_of(self, x: int) -> str:

@@ -400,15 +400,23 @@ def _rationals(data, g):
 @settings(deadline=None, max_examples=30)
 @given(data=hyp.data())
 def test_sandwiches_match_two_products(folded, data):
+    # a * b goes through _sandwiches too, so the two products come from the
+    # permutation oracle instead
     name = data.draw(hyp.sampled_from(["A3", "B3", "G2"]))
     with pytest.MonkeyPatch.context() as mp:
         if folded:  # a fresh group that folds words for every product
             mp.setattr(rootsys, "_PRODUCT_TABLE_LIMIT", 0)
         g = _group(name)
+        index_map = orc.perm_index_map(g)
         a, b = _rationals(data, g), _rationals(data, g)
         # repeated entries allowed
         xs = [g.elements[i] for i in data.draw(hyp.lists(hyp.integers(0, g.order - 1)))]
-        assert list(algebra._sandwiches(a, xs, b)) == [a * delta(x) * b for x in xs]
+        expected = [
+            _naive_product(g, AlgebraElement(g, _naive_product(g, a, delta(x), index_map)),
+                           b, index_map)
+            for x in xs
+        ]
+        assert [dict(v.items()) for v in algebra._sandwiches(a, xs, b)] == expected
         if folded:
             assert g._table is None
 

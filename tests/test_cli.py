@@ -310,12 +310,17 @@ def test_type_rank_too_long_to_read(capsys):
 @pytest.mark.parametrize("payload", [
     '{"matrix": [[' + _TOO_LONG + "]]}",
     '{"matrix": [[2]], "labels": [' + _TOO_LONG + "]}",
-], ids=["entry", "label"])
+    '{"matrix": [[-' + _TOO_LONG + "]]}",
+], ids=["entry", "label", "negative-entry"])
 def test_cartan_file_integer_too_long_to_read(tmp_path, capsys, payload):
     path = tmp_path / "long.json"
     path.write_text(payload)
     err = _one_error_line(capsys, ["table", "--cartan", str(path)])
-    assert err.startswith(f"error: invalid JSON in {path}: ")
+    # the JSON is valid, and Python's advice to raise its limit is no CLI option
+    limit = sys.get_int_max_str_digits()
+    assert err == (f"error: an integer in {path} has 5000 digits, "
+                   f"more than the {limit} that can be read\n")
+    assert "set_int_max_str_digits" not in err
 
 
 def test_cartan_file_not_utf8(tmp_path, capsys):
@@ -552,6 +557,23 @@ def test_components_sweep_peak_stays_below_its_output(monkeypatch):
         tracemalloc.stop()
     assert code == 0 and sink.digest.hexdigest() == B4_JSON_SHA256["components"]
     assert peak < sum(sink.sizes), (peak, sum(sink.sizes))
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
+def test_components_sweep_renders_per_subset_not_per_pair(capsys, monkeypatch, fmt):
+    # 64 pairs of 8 subsets: the renderer runs for the header, the row
+    # template and each distinct subset's cell, never once per pair
+    calls = Counter()
+    row = cli._row
+
+    def counting(*args):
+        calls["row"] += 1
+        return row(*args)
+
+    monkeypatch.setattr(cli, "_row", counting)
+    code, out, err = run(capsys, ["components", "--type", "B3", "--all-pairs", "--format", fmt])
+    assert code == 0 and err == "" and out
+    assert calls["row"] <= 8 + 4, calls
 
 
 def test_empty_json_list_renders_as_json_dumps():
