@@ -395,8 +395,8 @@ def right_sign_eigenspace(group: WeylGroup, s: int) -> SubspaceBasis:
     Pairs x with xs: the differences delta_x - delta_{xs} over the |W|/2
     pairs span {v : v * delta_s = -v}.
     """
-    if not 0 <= s < group.rank:
-        raise InvalidSubset(f"reflection index {s} out of range for rank {group.rank}")
+    if isinstance(s, bool) or not isinstance(s, int) or not 0 <= s < group.rank:
+        raise InvalidSubset(f"reflection index {s!r} out of range for rank {group.rank}")
     vectors = []
     for x in range(group.order):
         y = group.right_index(x, s)

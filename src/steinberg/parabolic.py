@@ -89,8 +89,7 @@ def double_cosets(group: WeylGroup, J, K) -> DoubleCosetDecomposition:
     """
     subJ = normalize_subset(group.rank, J)
     subK = normalize_subset(group.rank, K)
-    mask_j = sum(1 << j for j in subJ)
-    mask_k = sum(1 << k for k in subK)
+    mask_j, mask_k = _mask(subJ), _mask(subK)
     rdesc = group._rdesc
     inv = group._inv
     left = group._left
@@ -125,9 +124,9 @@ def _component_reps(group: WeylGroup, J, K) -> list[tuple[int, bool]]:
     min reps are the members x of W^K with no left descent in J, that is
     the groups of W^K whose descent mask misses J, merged back into
     enumeration order; each max rep is top_J[x·w_K].  eta: the max rep is
-    minimal.  Raises InvalidSubset on a bad subset.
+    minimal.  J and K are normalized subsets, checked where they entered.
     """
-    mask_j, mask_k = _mask(group.rank, J), _mask(group.rank, K)
+    mask_j, mask_k = _mask(J), _mask(K)
     top, rdesc, inv = group._left_top(mask_j), group._rdesc, group._inv
     groups, xw = group._right_quotient(mask_k)
     mins = sorted(chain.from_iterable(ps for d, ps in groups.items() if not d & mask_j))
@@ -138,7 +137,8 @@ def _component_reps(group: WeylGroup, J, K) -> list[tuple[int, bool]]:
 def min_double_coset_rep(w: WeylElement, J, K) -> WeylElement:
     """Minimal-length element of W_J w W_K, by greedy descent removal."""
     group = w.group
-    mask_j, mask_k = _mask(group.rank, J), _mask(group.rank, K)
+    mask_j = _mask(normalize_subset(group.rank, J))
+    mask_k = _mask(normalize_subset(group.rank, K))
     x = w.index
     while True:
         down = group.left_descent_mask(x) & mask_j
@@ -155,15 +155,15 @@ def max_double_coset_rep(w: WeylElement, J, K) -> WeylElement:
     """Maximal-length element of W_J w W_K: top_J[x·w_K] for its min rep x."""
     group = w.group
     x = min_double_coset_rep(w, J, K).index
-    top_j = group._left_top(_mask(group.rank, J))
-    top_k, inv = group._left_top(_mask(group.rank, K)), group._inv
+    top_j = group._left_top(_mask(normalize_subset(group.rank, J)))
+    top_k, inv = group._left_top(_mask(normalize_subset(group.rank, K))), group._inv
     # x·w_K, the top of x·W_K, is the inverse of the top of W_K·x^-1
     return group.elements[top_j[inv[top_k[inv[x]]]]]
 
 
-def _mask(rank: int, J) -> int:
-    """Bit mask of a subset of the simple reflections; raises InvalidSubset."""
-    return sum(1 << j for j in normalize_subset(rank, J))
+def _mask(subset) -> int:
+    """Bit mask of a normalized subset of the simple reflections."""
+    return sum(1 << j for j in subset)
 
 
 def is_minimal_in_double_coset(w: WeylElement, J, K) -> bool:
@@ -173,7 +173,8 @@ def is_minimal_in_double_coset(w: WeylElement, J, K) -> bool:
     for J = {s}, K = empty this reads sw > w.
     """
     group = w.group
-    mask_j, mask_k = _mask(group.rank, J), _mask(group.rank, K)
+    mask_j = _mask(normalize_subset(group.rank, J))
+    mask_k = _mask(normalize_subset(group.rank, K))
     return not (
         group.left_descent_mask(w.index) & mask_j
         or group.right_descent_mask(w.index) & mask_k
@@ -182,5 +183,6 @@ def is_minimal_in_double_coset(w: WeylElement, J, K) -> bool:
 
 def maximal_reps(group: WeylGroup, J, K) -> tuple[WeylElement, ...]:
     """Maximal-length representatives, one per (W_J, W_K) double coset."""
-    return tuple(group.elements[m] for m, _ in _component_reps(group, J, K))
+    subJ, subK = normalize_subset(group.rank, J), normalize_subset(group.rank, K)
+    return tuple(group.elements[m] for m, _ in _component_reps(group, subJ, subK))
 

@@ -15,7 +15,6 @@ coefficients, report rows) inherits that order.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -133,6 +132,11 @@ def validate_cartan(matrix, labels=None) -> CartanDatum:
                 raise NotGeneralizedCartan(
                     f"entries ({i},{j}) and ({j},{i}) must vanish together"
                 )
+            # finite type bounds each bond a_ij·a_ji by 3 (Kac §4.8); checked
+            # here, since _closure would first grow coordinates without bound
+            if j < i and a * rows[j][i] > 3:
+                raise NotFiniteType(f"entries ({j},{i}) and ({i},{j}) multiply to more "
+                                    f"than 3, so the matrix is not of finite type")
     mat = tuple(rows)
     roots = _closure(mat, DEFAULT_ROOT_CAP)
     if labels is None:
@@ -697,23 +701,12 @@ def enumerate_weyl(roots: RootSystem, order_cap: int = DEFAULT_ORDER_CAP) -> Wey
     return WeylGroup(roots, order_cap=order_cap)
 
 
-_INT = frozenset((int,))
-
-
 def normalize_subset(rank: int, J) -> tuple[int, ...]:
     """Sorted duplicate-free subset of {0, ..., rank-1}; raises InvalidSubset.
 
-    A valid tuple of plain ints is normalized once per (rank, J) and
-    remembered, so a sweep that hands the same tuples around pays once.
-    Any other input (a list, a bool or float entry, anything invalid) takes
-    the full check every time.
+    Each public function that takes a subset calls this once, where the
+    subset enters; the private helpers behind it take the returned tuple.
     """
-    if type(J) is tuple and _INT.issuperset(map(type, J)):
-        return _normalize_int_tuple(rank, J)
-    return _normalize(rank, J)
-
-
-def _normalize(rank: int, J) -> tuple[int, ...]:
     out = []
     seen = set()
     for i in J:
@@ -726,8 +719,3 @@ def _normalize(rank: int, J) -> tuple[int, ...]:
         seen.add(i)
         out.append(i)
     return tuple(sorted(out))
-
-
-# a raise is never remembered, so an invalid tuple is checked each time
-_normalize_int_tuple = lru_cache(maxsize=1024)(_normalize)
-

@@ -17,6 +17,8 @@ first use.  The group keeps the context of its most recent (J, K), so a
 sweep holds one pair's worth of vectors at a time, and per (subset, sign)
 the idempotent and its absorption verdicts, so a sweep builds each once
 and checks its absorption once.  All of it is freed with the group.
+A subset is checked once, where it enters a public function; the helpers
+behind it, such as ``parabolic._component_reps``, take the normalized tuple.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ def geometry_profile(roots: RootSystem) -> GeometryProfile:
 
 def parabolic_length(roots: RootSystem, J) -> int:
     """Positive roots supported on J = length of the longest element of W_J."""
-    mask = parabolic._mask(roots.rank, J)
+    mask = parabolic._mask(parabolic.normalize_subset(roots.rank, J))
     return sum(1 for support in roots._supports if not support & ~mask)
 
 
@@ -106,8 +108,9 @@ def pair_profile(roots: RootSystem, J, K) -> PairProfile:
     subJ = parabolic.normalize_subset(roots.rank, J)
     subK = parabolic.normalize_subset(roots.rank, K)
     n = roots.n_positive
-    len_j = parabolic_length(roots, subJ)
-    len_k = parabolic_length(roots, subK)
+    mask_j, mask_k = parabolic._mask(subJ), parabolic._mask(subK)
+    len_j = sum(1 for support in roots._supports if not support & ~mask_j)
+    len_k = sum(1 for support in roots._supports if not support & ~mask_k)
     f = len_j + len_k
     return PairProfile(
         J=subJ,
@@ -322,11 +325,11 @@ def hotta_verification(group: WeylGroup, s: int) -> VerificationReport:
     Half the group order, the dimension of the right -1 eigenspace of s,
     and the number of elements with l(sw) < l(w); additionally that descent
     set must be exactly the complement of the minimal ({s}, empty)-coset
-    representatives, which read the descent table, and every eigenspace
-    vector v must satisfy v * delta_s = -v, multiplied in QW rather than
-    read off ``right_index``.  All five checks feed ``passed``.  When a
-    vector is not negated, ``detail["first_not_negated"]`` names its first
-    element.
+    representatives, those without s as a left descent in the descent
+    table, and every eigenspace vector v must satisfy v * delta_s = -v,
+    multiplied in QW rather than read off ``right_index``.  All five checks
+    feed ``passed``.  When a vector is not negated,
+    ``detail["first_not_negated"]`` names its first element.
     """
     half = group.order // 2
     eigen = algebra.right_sign_eigenspace(group, s)
@@ -334,8 +337,8 @@ def hotta_verification(group: WeylGroup, s: int) -> VerificationReport:
     unnegated = [v for v in eigen.vectors if v * delta_s != -v]
     length, left = group._length, group._left[s]
     descents = [w for w in group.elements if length[left[w.index]] < length[w.index]]
-    minimal = parabolic.is_minimal_in_double_coset
-    nonminimal = [w for w in group.elements if not minimal(w, (s,), ())]
+    rdesc, inv = group._rdesc, group._inv
+    nonminimal = [w for w in group.elements if rdesc[inv[w.index]] >> s & 1]
     sets_match = descents == nonminimal
     passed = eigen.dimension == half == len(descents) and sets_match and not unnegated
     detail = {

@@ -493,10 +493,9 @@ def test_right_sign_eigenspace_frozen():
     assert basis.dimension == 3
     b2 = _group("B2")
     assert right_sign_eigenspace(b2, 1).dimension == 4
-    with pytest.raises(InvalidSubset):
-        right_sign_eigenspace(g, 2)
-    with pytest.raises(InvalidSubset):
-        right_sign_eigenspace(g, -1)
+    for s in (2, -1, True, 1.0):  # a bool or a float is no index, even in range
+        with pytest.raises(InvalidSubset):
+            right_sign_eigenspace(g, s)
 
 
 def test_right_sign_eigenspace_membership():

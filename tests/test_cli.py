@@ -280,6 +280,55 @@ def test_cartan_file_malformed_payload(tmp_path, capsys, payload):
     assert "Traceback" not in err
 
 
+# any JSON value; integers run to 4,200 digits, below what int() refuses to read
+_JSON_LEAF = hyp.one_of(
+    hyp.none(), hyp.booleans(), hyp.floats(), hyp.text(max_size=4),
+    hyp.integers(), hyp.integers(min_value=-10**4200, max_value=10**4200),
+)
+_JSON = hyp.recursive(
+    _JSON_LEAF,
+    lambda inner: (hyp.lists(inner, max_size=4)
+                   | hyp.dictionaries(hyp.text(max_size=3), inner, max_size=3)),
+    max_leaves=12,
+)
+# off-diagonal pairs (a_ij, a_ji): finite bonds, affine or worse bonds, or any two leaves
+_BOND = hyp.one_of(
+    hyp.sampled_from([(0, 0), (-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -1)]),
+    hyp.sampled_from([(-2, -2), (-1, -4), (-4, -1), (-2, -3), (0, -1)]),
+    hyp.tuples(_JSON_LEAF, _JSON_LEAF),
+)
+
+
+@hyp.composite
+def _square(draw):
+    """A square matrix, mostly 2 on the diagonal and bonds off it, so it gets past
+    the shape checks to the bond check, the root closure and the labels."""
+    n = draw(hyp.integers(min_value=1, max_value=4))
+    m = [[2] * n for _ in range(n)]
+    for i in range(n):
+        if draw(hyp.integers(0, 3)) == 0:  # one diagonal entry in four is any leaf
+            m[i][i] = draw(_JSON_LEAF)
+        for j in range(i):
+            m[i][j], m[j][i] = draw(_BOND)
+    return m
+
+
+@settings(deadline=None, max_examples=150)
+@given(matrix=_square() | _JSON,
+       labels=hyp.just(None) | hyp.lists(_JSON_LEAF, max_size=4) | _JSON)
+def test_cartan_file_fuzz(tmp_path_factory, matrix, labels):
+    payload = {"matrix": matrix} if labels is None else {"matrix": matrix, "labels": labels}
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(payload))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["table", "--cartan", str(path)])
+    assert code in (0, 2, 3), (payload, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue().count("error:") <= 1
+    assert (code == 0) == (err.getvalue() == "") == (out.getvalue() != "")
+
+
 def test_cartan_file_nested_past_recursion_limit(tmp_path, capsys):
     depth = 100_000
     path = tmp_path / "deep.json"

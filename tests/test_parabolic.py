@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as hyp
 
 import oracles as orc
 from steinberg import InvalidSubset, cartan_from_name, enumerate_weyl, root_system
+from steinberg import algebra, varieties
 from steinberg.parabolic import (
     double_cosets,
     is_minimal_in_double_coset,
@@ -35,9 +36,9 @@ def test_normalize_subset():
         normalize_subset(3, ["1"])
 
 
-def test_normalize_subset_remembers_only_plain_int_tuples():
-    # the valid tuple is remembered; inputs equal to it but not plain ints
-    # (bools, floats) and invalid tuples still take the full check
+def test_normalize_subset_checks_every_call():
+    # nothing is remembered between calls: inputs equal to a valid tuple but
+    # not plain ints (bools, floats) and invalid tuples fail every time
     for _ in range(2):
         assert normalize_subset(3, (2, 1)) == (1, 2)
         assert normalize_subset(3, [2, 1]) == (1, 2)
@@ -51,6 +52,42 @@ def test_normalize_subset_remembers_only_plain_int_tuples():
     assert normalize_subset(4, (3,)) == (3,)
     with pytest.raises(InvalidSubset):
         normalize_subset(3, (3,))
+
+
+@pytest.mark.parametrize("bad", [(3,), (True,), (2.0, 1), (1, 1), ("1",)], ids=repr)
+def test_every_public_subset_taker_refuses_a_bad_subset(bad):
+    # each subset is checked once, where it enters; these are the entries
+    g = _group("A3")
+    w = g.elements[7]
+    v = algebra.delta(w)
+    one = [
+        ("normalize_subset", lambda S: normalize_subset(3, S)),
+        ("parabolic_elements", lambda S: parabolic_elements(g, S)),
+        ("trivial_idempotent", lambda S: algebra.trivial_idempotent(g, S)),
+        ("sign_idempotent", lambda S: algebra.sign_idempotent(g, S)),
+        ("parabolic_length", lambda S: varieties.parabolic_length(g.roots, S)),
+        ("WeylGroup.longest_element", g.longest_element),
+    ]
+    two = [
+        ("average", lambda J, K: algebra.average(J, K, v)),
+        ("sign_average", lambda J, K: algebra.sign_average(J, K, v)),
+        ("pair_profile", lambda J, K: varieties.pair_profile(g.roots, J, K)),
+    ]
+    two += [(f.__name__, lambda J, K, f=f: f(w, J, K)) for f in (
+        min_double_coset_rep, max_double_coset_rep, is_minimal_in_double_coset)]
+    two += [(f.__name__, lambda J, K, f=f: f(g, J, K)) for f in (
+        double_cosets, maximal_reps, algebra.invariant_basis, algebra.anti_invariant_basis,
+        varieties.y_components, varieties.pair_context,
+        varieties.verify_invariant_isomorphism, varieties.verify_anti_invariant_isomorphism,
+        varieties.averaging_image_check)]
+    calls = [(name, call, (bad,)) for name, call in one]
+    calls += [(name, call, args) for name, call in two for args in ((bad, (0,)), ((0,), bad))]
+    for name, call, args in calls:
+        try:
+            call(*args)
+        except InvalidSubset:
+            continue
+        pytest.fail(f"{name}{args} did not raise InvalidSubset")
 
 
 def test_parabolic_elements_examples():

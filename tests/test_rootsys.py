@@ -129,7 +129,7 @@ def test_validate_rejects_affine():
 
 @pytest.mark.parametrize("name, matrix", [
     ("A49", standard_cartan("A", 49)),  # finite, 1,225 positive roots
-    ("affine A1", [[2, -2], [-2, 2]]),  # infinite
+    ("affine A2", [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]),  # infinite, every bond 1
 ])
 def test_root_cap_refusal_names_both_causes(name, matrix, tmp_path, capsys):
     # the cap cannot tell a large finite type from an infinite one
@@ -144,6 +144,33 @@ def test_root_cap_refusal_names_both_causes(name, matrix, tmp_path, capsys):
     path.write_text(json.dumps({"matrix": [list(row) for row in matrix]}))
     # a cap of 2^50 admits rank 49, so the CLI reaches the root closure
     assert cli.main(["table", "--cartan", str(path), "--order-cap", str(2**50)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("matrix, pair", [
+    ([[2, -2], [-2, 2]], (0, 1)),                     # affine A1, bond 4
+    ([[2, -10**4199], [-1, 2]], (0, 1)),              # an entry of 4,200 digits
+    ([[2, 0, -1], [0, 2, -1], [-4, -1, 2]], (0, 2)),  # bond 4 between s1 and s3
+], ids=["affine A1", "4200 digits", "rank 3"])
+def test_bond_above_3_refused_before_the_root_closure(
+        matrix, pair, tmp_path, capsys, monkeypatch):
+    from steinberg import rootsys
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("root closure ran on a bond above 3")
+
+    monkeypatch.setattr(rootsys, "_closure", forbidden)
+    i, j = pair
+    message = (f"entries ({i},{j}) and ({j},{i}) multiply to more than 3, "
+               "so the matrix is not of finite type")
+    with pytest.raises(NotFiniteType) as caught:
+        validate_cartan(matrix)
+    assert str(caught.value) == message
+    path = tmp_path / "cartan.json"
+    path.write_text(json.dumps({"matrix": matrix}))
+    start = time.perf_counter()
+    assert cli.main(["table", "--cartan", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == f"error: {message}\n"
 
 

@@ -7,8 +7,10 @@ import pytest
 
 import oracles as orc
 from steinberg import (
+    InvalidSubset,
     algebra,
     cartan_from_name,
+    cli,
     enumerate_weyl,
     parabolic,
     root_system,
@@ -225,12 +227,38 @@ def test_hotta_verification():
     descents = [w.name for w in g.elements if g.is_left_descent(0, w)]
     assert descents == ["s1", "s1s2", "s1s2s1"]
 
-    for name in SMALL + ["D4"]:
+    # B5 and A6 are above the product-table limit, so products fold words
+    for name in SMALL + ["D4", "B5", "A6"]:
         h = _group(name)
         for s in range(h.rank):
             rep = hotta_verification(h, s)
             assert rep.passed
             assert rep.expected == rep.computed == h.order // 2
+    with pytest.raises(InvalidSubset):
+        hotta_verification(g, True)
+
+
+def test_subsets_are_checked_where_they_enter(monkeypatch, capsys):
+    calls = []
+    real = rootsys.normalize_subset
+
+    def counted(rank, J):
+        calls.append(J)
+        return real(rank, J)
+
+    monkeypatch.setattr(rootsys, "normalize_subset", counted)
+    monkeypatch.setattr(parabolic, "normalize_subset", counted)
+    # pair_profile checks J and K; the coset tables take them as they are
+    assert cli.main(["components", "--type", "A3", "--all-pairs"]) == 0
+    assert len(calls) == 2 * 64
+    # the Hotta report reads minimality off the descent table, not per element
+    counts = []
+    for name in ("A3", "D4"):
+        g = _group(name)
+        calls.clear()
+        hotta_verification(g, 0)
+        counts.append(len(calls))
+    assert counts[0] == counts[1], counts
 
 
 def test_hotta_descent_side_is_not_the_descent_table():
