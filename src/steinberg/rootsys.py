@@ -346,7 +346,7 @@ class _FoldedRow:
 
 def word_name(word) -> str:
     """Render a word in the simple reflections, e.g. ``(0, 1)`` -> ``"s1s2"``."""
-    return "".join(f"s{i + 1}" for i in word)
+    return "s" + "s".join([str(i + 1) for i in word]) if word else ""
 
 
 class WeylElement:

@@ -273,18 +273,7 @@ def _absorption_holds(group: WeylGroup, e: AlgebraElement, subset, table, twist)
 
 def verify_invariant_isomorphism(group: WeylGroup, J, K) -> VerificationReport:
     """dim e_K QW e_J must equal the number of (W_J, W_K) double cosets."""
-    ctx = pair_context(group, J, K)
-    basis = ctx.invariant
-    expected = len(ctx.reps)
-    computed = basis.dimension
-    return VerificationReport(
-        claim=f"invariant-dimension J={_fmt(ctx.J)} K={_fmt(ctx.K)}",
-        expected=expected,
-        computed=computed,
-        passed=expected == computed,
-        witness=basis,
-        detail={"cosets": expected},
-    )
+    return _dimension_report(group, J, K, False)
 
 
 def verify_anti_invariant_isomorphism(group: WeylGroup, J, K) -> VerificationReport:
@@ -297,23 +286,31 @@ def verify_anti_invariant_isomorphism(group: WeylGroup, J, K) -> VerificationRep
     support inside its parabolic, and Σ sgn(u)·c_u = 1.  When one fails,
     ``detail["absorption_fails"]`` names it.
     """
+    report = _dimension_report(group, J, K, True)
+    names = [group.word_name_of(m) for m, _ in pair_context(group, J, K).reps]
+    return report._replace(detail={"maximal_reps": names, **report.detail})
+
+
+def _dimension_report(group: WeylGroup, J, K, sign: bool) -> VerificationReport:
+    """The invariant report, or with ``sign`` the anti-invariant one less its
+    ``maximal_reps`` names: the verdict that ``verify`` prints and each
+    ``table`` row reads."""
     ctx = pair_context(group, J, K)
-    basis = ctx.anti_invariant
-    faults = _absorption_faults(group, (
-        ("eps_K", ctx.eps_k, ctx.K, group._right, -1),
-        ("eps_J", ctx.eps_j, ctx.J, group._left, -1),
-    ))
     expected = len(ctx.reps)
-    computed = basis.dimension
-    name = group.word_name_of
-    detail = {"maximal_reps": [name(m) for m, _ in ctx.reps]}
-    if faults:
-        detail["absorption_fails"] = faults
+    if sign:
+        basis = ctx.anti_invariant
+        faults = _absorption_faults(group, (
+            ("eps_K", ctx.eps_k, ctx.K, group._right, -1),
+            ("eps_J", ctx.eps_j, ctx.J, group._left, -1),
+        ))
+        detail = {"absorption_fails": faults} if faults else {}
+    else:
+        basis, faults, detail = ctx.invariant, [], {"cosets": expected}
     return VerificationReport(
-        claim=f"anti-invariant-dimension J={_fmt(ctx.J)} K={_fmt(ctx.K)}",
+        claim=f"{'anti-' if sign else ''}invariant-dimension J={_fmt(ctx.J)} K={_fmt(ctx.K)}",
         expected=expected,
-        computed=computed,
-        passed=expected == computed and not faults,
+        computed=basis.dimension,
+        passed=expected == basis.dimension and not faults,
         witness=basis,
         detail=detail,
     )
@@ -435,4 +432,4 @@ def report_jsonable(report: VerificationReport) -> dict:
 
 
 def _fmt(subset) -> str:
-    return "{" + ",".join(str(i) for i in subset) + "}"
+    return "{" + ",".join(map(str, subset)) + "}"

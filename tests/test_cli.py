@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import errno
 import hashlib
 import io
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as hyp
 
-from steinberg import cli, parabolic, varieties
+from steinberg import algebra, cli, parabolic, varieties
 from steinberg.algebra import SubspaceBasis
 from steinberg.varieties import VerificationReport
 
@@ -165,6 +166,59 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert code == 1
     assert "FAIL invariant-dimension" in out
     assert out.splitlines()[-1] == "summary: 2 passed, 1 failed"
+
+
+def _csv_rows(out):
+    return list(csv.DictReader(io.StringIO(out)))
+
+
+def _delta_e_where_nonempty(side):
+    """PairContext's eps_J (side "J") or eps_K ("K"), δ_e when that subset is nonempty."""
+    real = getattr(varieties.PairContext, f"eps_{side.lower()}").func
+    return property(lambda ctx: algebra.delta(ctx.group.identity) if getattr(ctx, side)
+                    else real(ctx))
+
+
+@pytest.mark.parametrize("sides", ["J", "K", "JK"])
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_table_fails_a_row_under_a_sign_mutation(capsys, monkeypatch, name, sides):
+    # the dimensions stay at the coset count; only sign-twisted absorption
+    # sees the wrong idempotent, so a table row must read that clause too
+    if sides == "JK":  # every nonempty subset's eps, on both sides at once
+        real = varieties._idempotent
+        monkeypatch.setattr(varieties, "_idempotent", lambda group, S, sign: (
+            algebra.delta(group.identity) if sign and S else real(group, S, sign)))
+    else:
+        monkeypatch.setattr(varieties.PairContext, f"eps_{sides.lower()}",
+                            _delta_e_where_nonempty(sides))
+    code, out, err = run(capsys, ["table", "--type", name, "--all-pairs", "--format", "csv"])
+    rows = _csv_rows(out)
+    assert len(rows) == 4 ** 3
+    failed = [(r["J"], r["K"]) for r in rows if r["passed"] == "false"]
+    assert failed == [(r["J"], r["K"]) for r in rows
+                      if any(r[side] != "-" for side in sides)]
+    assert code == 1 and err == ""
+    assert all(r["cosets"] == r["inv_dim"] == r["anti_dim"] for r in rows)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2"])
+def test_table_rows_agree_with_the_verify_reports(capsys, name):
+    code, out, err = run(capsys, ["table", "--type", name, "--all-pairs", "--format", "csv"])
+    table = _csv_rows(out)
+    assert code == 0 and err == "" and {row["passed"] for row in table} == {"true"}
+    code, out, _ = run(capsys, ["verify", "--type", name, "--all-pairs", "--format", "csv"])
+    assert code == 0
+    reports = {r["claim"]: r for r in _csv_rows(out)}
+    assert len(reports) == 3 * len(table) == 3 * 4 ** (2 if name == "G2" else 3)
+    for row in table:
+        pair = "J={{{}}} K={{{}}}".format(*(row[S].replace("-", "") for S in ("J", "K")))
+        inv = reports.pop(f"invariant-dimension {pair}")
+        anti = reports.pop(f"anti-invariant-dimension {pair}")
+        assert row["cosets"] == inv["expected"] == anti["expected"]
+        assert (row["inv_dim"], row["anti_dim"]) == (inv["computed"], anti["computed"])
+        both = "true" if inv["passed"] == anti["passed"] == "true" else "false"
+        assert row["passed"] == both
+    assert all(claim.startswith("averaging-image ") for claim in reports)
 
 
 def test_unknown_type_exits_2(capsys):
@@ -564,6 +618,25 @@ def test_closed_stdout_exit_code_counts_written_reports(capsys, monkeypatch, clo
     assert code == expected and err == ""
     # the sweep stopped at the write that failed
     assert sum(calls.values()) == closed_at + 1
+
+
+@pytest.mark.parametrize("closed_at,expected", [(1, 0), (2, 1)])
+def test_closed_stdout_exit_code_counts_written_table_rows(capsys, monkeypatch, closed_at,
+                                                           expected):
+    real = varieties._dimension_report
+
+    def first_pair_fails(group, J, K, sign):
+        report = real(group, J, K, sign)
+        return report._replace(passed=False) if (J, K, sign) == ((), (), True) else report
+
+    monkeypatch.setattr(varieties, "_dimension_report", first_pair_fails)
+    sink = Sink(closed_at=closed_at)
+    monkeypatch.setattr(sys, "stdout", sink)
+    # markdown table writes its header, then one piece per pair; the first
+    # pair's row is false, so the exit code is 1 once that row is written
+    code, _, err = run(capsys, ["table", "--type", "A1", "--all-pairs"])
+    assert code == expected and err == ""
+    assert len(sink.sizes) == closed_at
 
 
 # stdout sha256 of B4 --all-pairs --format json, recorded before the output
