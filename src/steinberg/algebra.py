@@ -244,15 +244,7 @@ def biact(w: WeylElement, wprime: WeylElement, v: AlgebraElement) -> AlgebraElem
     acts by right translation with the inverse, the second by left
     translation.
     """
-    group = v.group
-    if w.group is not group or wprime.group is not group:
-        raise MixedGroups("acting elements live in a different group")
-    prod = group.product_index
-    wi = group.inverse_index(w.index)
-    wp = wprime.index
-    return AlgebraElement._raw(
-        group, {prod(prod(wp, x), wi): n for x, n in v._n.items()}, v._d
-    )
+    return delta(wprime) * v * delta(~w)
 
 
 def average(J, K, v: AlgebraElement) -> AlgebraElement:
@@ -356,15 +348,12 @@ def span_dimension(vectors) -> SubspaceBasis:
 
 def invariant_basis(group: WeylGroup, J, K) -> SubspaceBasis:
     """Basis of e_K QW e_J: one uniform vector per (W_K, W_J) double coset."""
-    return _invariant_basis(group, double_cosets(group, K, J))
+    return _invariant_basis(double_cosets(group, K, J))
 
 
-def _invariant_basis(group: WeylGroup, dec_kj) -> SubspaceBasis:
-    raw = AlgebraElement._raw
-    return span_dimension([
-        raw(group, dict.fromkeys([w.index for w in c.elements], 1), c.size)
-        for c in dec_kj.cosets
-    ])
+def _invariant_basis(dec_kj) -> SubspaceBasis:
+    group, raw = dec_kj.group, AlgebraElement._raw
+    return span_dimension([raw(group, dict.fromkeys(xs, 1), len(xs)) for xs in dec_kj.members])
 
 
 def anti_invariant_basis(group: WeylGroup, J, K) -> SubspaceBasis:
@@ -384,9 +373,8 @@ def anti_invariant_basis(group: WeylGroup, J, K) -> SubspaceBasis:
 
 def _anti_invariant_basis(dec_kj, eps_k, eps_j) -> SubspaceBasis:
     """eps_k·δ_m·eps_j for the max rep m of each coset of dec_kj, ranked."""
-    return span_dimension(
-        _sandwiches(eps_k, [c.max_rep for c in dec_kj.cosets], eps_j)
-    )
+    at = dec_kj.group.elements
+    return span_dimension(_sandwiches(eps_k, [at[xs[-1]] for xs in dec_kj.members], eps_j))
 
 
 def right_sign_eigenspace(group: WeylGroup, s: int) -> SubspaceBasis:

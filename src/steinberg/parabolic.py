@@ -15,6 +15,9 @@ its cosets plus its groups, not a scan of W^K.
 The decomposition is one pass over W in enumeration order: an element
 that is not minimal has a left descent in J or a right descent in K, and
 the shorter neighbour across it is an earlier element of the same coset.
+It keeps element indices only, as ``members`` (one list per coset) beside
+a tag per element; the ``DoubleCoset`` records of ``cosets`` are built on
+first read, so callers that need indices never make an element tuple.
 The representatives alone (``_component_reps``, ``maximal_reps``) come
 from the tables instead, never from that partition, so the two are
 independent engines for the same cosets.
@@ -60,20 +63,32 @@ class DoubleCosetDecomposition:
 
     Cosets are ordered by their minimal representative (length, then lex on
     the canonical word), i.e. by enumeration index of min_rep.
-    ``J`` and ``K`` are normalized subsets; ``_coset_index[x]`` is the
-    position in ``cosets`` of the coset of the element with index x.
+    ``J`` and ``K`` are normalized subsets; ``members[i]`` lists the
+    element indices of coset i in enumeration order, and ``_tags[x]`` is
+    the position of the coset of the element with index x.  ``cosets``
+    holds the ``DoubleCoset`` records, built on first read and kept, so
+    ``coset_of(w)`` is the same object as ``cosets[i]``.
     """
 
-    __slots__ = ("J", "K", "cosets", "_coset_index")
+    __slots__ = ("group", "J", "K", "members", "_tags", "_cosets")
 
-    def __init__(self, J, K, cosets: tuple[DoubleCoset, ...], coset_index: list[int]):
-        self.J, self.K, self.cosets, self._coset_index = J, K, cosets, coset_index
+    def __init__(self, group: WeylGroup, J, K, members: list[list[int]], tags: list[int]):
+        self.group, self.J, self.K = group, J, K
+        self.members, self._tags, self._cosets = members, tags, None
+
+    @property
+    def cosets(self) -> tuple[DoubleCoset, ...]:
+        if self._cosets is None:
+            at = self.group.elements.__getitem__
+            elems = [tuple(map(at, xs)) for xs in self.members]
+            self._cosets = tuple(DoubleCoset(es, es[0], es[-1]) for es in elems)
+        return self._cosets
 
     def coset_of(self, w: WeylElement) -> DoubleCoset:
-        return self.cosets[self._coset_index[w.index]]
+        return self.cosets[self._tags[w.index]]
 
     def __len__(self) -> int:
-        return len(self.cosets)
+        return len(self.members)
 
 
 def double_cosets(group: WeylGroup, J, K) -> DoubleCosetDecomposition:
@@ -109,12 +124,7 @@ def double_cosets(group: WeylGroup, J, K) -> DoubleCosetDecomposition:
                 members.append([])
         tags[x] = tag
         members[tag].append(x)
-    at = group.elements.__getitem__
-    cosets = []
-    for xs in members:
-        elems = tuple(map(at, xs))
-        cosets.append(DoubleCoset(elements=elems, min_rep=elems[0], max_rep=elems[-1]))
-    return DoubleCosetDecomposition(subJ, subK, tuple(cosets), tags)
+    return DoubleCosetDecomposition(group, subJ, subK, members, tags)
 
 
 def _component_reps(group: WeylGroup, J, K) -> list[tuple[int, bool]]:

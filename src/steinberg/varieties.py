@@ -190,7 +190,7 @@ class PairContext:
     @cached_property
     def invariant(self) -> SubspaceBasis:
         """Basis of e_K QW e_J, one uniform vector per (W_K, W_J) coset."""
-        return algebra._invariant_basis(self.group, self.dec_kj)
+        return algebra._invariant_basis(self.dec_kj)
 
     @cached_property
     def anti_invariant(self) -> SubspaceBasis:
@@ -230,29 +230,20 @@ def _absorption_faults(group: WeylGroup, checks) -> list[str]:
     With the support in W_subset (every canonical word in its letters)
     that makes c_u = twist^l(u)·c_e, and Σ twist^l(u)·c_u = 1 fixes
     c_e = 1/|W_subset|: e is the idempotent, so e² = e.  No product is formed.
+    The verdict for the group's own idempotent of (subset, twist) is kept
+    beside it, one per side; any other element is checked afresh.
     """
-    return [
-        name
-        for name, e, subset, table, twist in checks
-        if not _absorbs(group, e, tuple(subset), table, twist)
-    ]
-
-
-def _absorbs(group: WeylGroup, e: AlgebraElement, subset, table, twist) -> bool:
-    """``_absorption_holds``, evaluated once per stored idempotent and side.
-
-    The verdict is kept beside the group's own idempotent of (subset,
-    twist), keyed by side (``table`` is the group's ``_right`` or
-    ``_left``); any other element is checked afresh.
-    """
-    entry = group._idempotents.get((subset, twist < 0))
-    if entry is None or entry[0] is not e:
-        return _absorption_holds(group, e, subset, table, twist)
-    verdicts, side = entry[1], table is group._right
-    ok = verdicts.get(side)
-    if ok is None:
-        ok = verdicts[side] = _absorption_holds(group, e, subset, table, twist)
-    return ok
+    faults = []
+    for name, e, subset, table, twist in checks:
+        subset = tuple(subset)
+        entry = group._idempotents.get((subset, twist < 0))
+        verdicts = entry[1] if entry is not None and entry[0] is e else {}
+        side = table is group._right
+        if side not in verdicts:
+            verdicts[side] = _absorption_holds(group, e, subset, table, twist)
+        if not verdicts[side]:
+            faults.append(name)
+    return faults
 
 
 def _absorption_holds(group: WeylGroup, e: AlgebraElement, subset, table, twist) -> bool:
@@ -383,8 +374,8 @@ def averaging_image_check(group: WeylGroup, J, K) -> VerificationReport:
         ("e_K", e_k, ctx.K, group._right, 1),
         ("e_J", e_j, ctx.J, group._left, 1),
     ))
-    cosets, vectors = ctx.dec_kj.cosets, basis.vectors
-    reps = [c.min_rep for c in cosets]
+    members, vectors, at = ctx.dec_kj.members, basis.vectors, group.elements
+    reps = [at[xs[0]] for xs in members]
     images = algebra._sandwiches(e_k, reps, e_j)
     unfixed = next(
         (
@@ -394,12 +385,12 @@ def averaging_image_check(group: WeylGroup, J, K) -> VerificationReport:
         ),
         None,
     )
-    fixed = unfixed is None and len(vectors) == len(cosets)
+    fixed = unfixed is None and len(vectors) == len(members)
     expected = len(ctx.reps)
     computed = basis.dimension
     passed = fixed and not faults and computed == expected
     detail = {
-        "kernel_dim": group.order - len(cosets),
+        "kernel_dim": group.order - len(members),
         "order": group.order,
         "basis_fixed_by_projector": fixed,
     }

@@ -16,7 +16,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as hyp
 
-from steinberg import algebra, cli, parabolic, varieties
+from steinberg import (
+    algebra, cartan_from_name, cli, enumerate_weyl, parabolic, root_system, varieties,
+)
 from steinberg.algebra import SubspaceBasis
 from steinberg.varieties import VerificationReport
 
@@ -128,6 +130,26 @@ def test_verify_default_sweeps_everything(capsys):
     assert code == 0
     # 4 pairs x 3 checks + 1 hotta line + summary
     assert out.splitlines()[-1] == "summary: 13 passed, 0 failed"
+
+
+def test_verify_and_table_sweeps_build_no_double_coset(capsys, monkeypatch):
+    # the computed side reads the partition's member indices; a DoubleCoset
+    # record is made only when a caller reads ``cosets``
+    built = []
+
+    class Counted(parabolic.DoubleCoset):
+        def __new__(cls, *fields):
+            built.append(fields)
+            return super().__new__(cls, *fields)
+
+    monkeypatch.setattr(parabolic, "DoubleCoset", Counted)
+    for argv in (["verify", "--type", "B3"], ["table", "--type", "B3", "--all-pairs"]):
+        code, out, err = run(capsys, argv)
+        assert code == 0 and err == "" and out, argv
+    assert built == []
+    # the count does see the records that a read of ``cosets`` builds
+    g = enumerate_weyl(root_system(cartan_from_name("B3")))
+    assert len(parabolic.double_cosets(g, [0], [1]).cosets) == len(built) > 0
 
 
 def test_verify_json_schema(capsys):

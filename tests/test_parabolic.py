@@ -159,6 +159,21 @@ def test_decomposition_is_partition():
                         assert dec.coset_of(w) is c
 
 
+@pytest.mark.parametrize("name", ["A2", "B3", "G2", "D4"])
+def test_members_index_the_cosets_built_on_read(name):
+    g = _group(name)
+    for J in orc.all_subsets(g.rank):
+        for K in orc.all_subsets(g.rank):
+            dec = double_cosets(g, J, K)
+            cosets = dec.cosets
+            assert dec.cosets is cosets  # built once, then kept
+            assert dec.members == [[w.index for w in c.elements] for c in cosets]
+            assert len(dec) == len(cosets)
+            for i, xs in enumerate(dec.members):
+                for x in xs:
+                    assert dec.coset_of(g.elements[x]) is cosets[i]
+
+
 def test_cosets_match_literal_product_sets():
     cases = []
     for name in ["A2", "B2", "D4"]:

@@ -534,13 +534,12 @@ def test_expected_side_mutation_fails_every_report(monkeypatch, name):
 
 def _merge_last_two(dec):
     """``dec`` with its last two cosets merged into one."""
-    *cosets, a, b = dec.cosets
-    elements = tuple(sorted(a.elements + b.elements, key=lambda w: w.index))
-    cosets.append(parabolic.DoubleCoset(elements, elements[0], elements[-1]))
-    index = list(dec._coset_index)
-    for w in b.elements:
-        index[w.index] = len(cosets) - 1
-    return parabolic.DoubleCosetDecomposition(dec.J, dec.K, tuple(cosets), index)
+    *members, a, b = dec.members
+    members.append(sorted(a + b))
+    tags = list(dec._tags)
+    for x in b:
+        tags[x] = len(members) - 1
+    return parabolic.DoubleCosetDecomposition(dec.group, dec.J, dec.K, members, tags)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3"])
