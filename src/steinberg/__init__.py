@@ -32,8 +32,6 @@ from .rootsys import (
     word_name,
 )
 from .parabolic import (
-    DoubleCoset,
-    DoubleCosetDecomposition,
     double_cosets,
     is_minimal_in_double_coset,
     max_double_coset_rep,

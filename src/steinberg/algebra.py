@@ -78,6 +78,8 @@ class AlgebraElement:
         return out
 
     def coefficient(self, w: WeylElement) -> Fraction:
+        if w.group is not self.group:
+            raise MixedGroups("coefficient of a foreign element")
         return Fraction(self._n.get(w.index, 0), self._d)
 
     @property
@@ -348,12 +350,12 @@ def span_dimension(vectors) -> SubspaceBasis:
 
 def invariant_basis(group: WeylGroup, J, K) -> SubspaceBasis:
     """Basis of e_K QW e_J: one uniform vector per (W_K, W_J) double coset."""
-    return _invariant_basis(double_cosets(group, K, J))
+    return _invariant_basis(group, double_cosets(group, K, J))
 
 
-def _invariant_basis(dec_kj) -> SubspaceBasis:
-    group, raw = dec_kj.group, AlgebraElement._raw
-    return span_dimension([raw(group, dict.fromkeys(xs, 1), len(xs)) for xs in dec_kj.members])
+def _invariant_basis(group: WeylGroup, cosets) -> SubspaceBasis:
+    raw = AlgebraElement._raw
+    return span_dimension([raw(group, dict.fromkeys(xs, 1), len(xs)) for xs in cosets])
 
 
 def anti_invariant_basis(group: WeylGroup, J, K) -> SubspaceBasis:
@@ -365,16 +367,17 @@ def anti_invariant_basis(group: WeylGroup, J, K) -> SubspaceBasis:
     space e_K·QW·eps_J, where the two twists can cancel.)
     """
     return _anti_invariant_basis(
+        group,
         double_cosets(group, K, J),
         sign_idempotent(group, K),
         sign_idempotent(group, J),
     )
 
 
-def _anti_invariant_basis(dec_kj, eps_k, eps_j) -> SubspaceBasis:
-    """eps_k·δ_m·eps_j for the max rep m of each coset of dec_kj, ranked."""
-    at = dec_kj.group.elements
-    return span_dimension(_sandwiches(eps_k, [at[xs[-1]] for xs in dec_kj.members], eps_j))
+def _anti_invariant_basis(group: WeylGroup, cosets, eps_k, eps_j) -> SubspaceBasis:
+    """eps_k·δ_m·eps_j for the max rep m of each coset, ranked."""
+    at = group.elements
+    return span_dimension(_sandwiches(eps_k, [at[xs[-1]] for xs in cosets], eps_j))
 
 
 def right_sign_eigenspace(group: WeylGroup, s: int) -> SubspaceBasis:
@@ -385,9 +388,9 @@ def right_sign_eigenspace(group: WeylGroup, s: int) -> SubspaceBasis:
     """
     if isinstance(s, bool) or not isinstance(s, int) or not 0 <= s < group.rank:
         raise InvalidSubset(f"reflection index {s!r} out of range for rank {group.rank}")
-    vectors = []
+    vectors, right = [], group._right[s]
     for x in range(group.order):
-        y = group.right_index(x, s)
+        y = right[x]
         if x < y:
             vectors.append(AlgebraElement._raw(group, {x: 1, y: -1}))
     return span_dimension(vectors)

@@ -15,9 +15,8 @@ its cosets plus its groups, not a scan of W^K.
 The decomposition is one pass over W in enumeration order: an element
 that is not minimal has a left descent in J or a right descent in K, and
 the shorter neighbour across it is an earlier element of the same coset.
-It keeps element indices only, as ``members`` (one list per coset) beside
-a tag per element; the ``DoubleCoset`` records of ``cosets`` are built on
-first read, so callers that need indices never make an element tuple.
+The partition is its index lists alone, one ascending list per coset;
+a caller that wants elements reads them off ``group.elements``.
 The representatives alone (``_component_reps``, ``maximal_reps``) come
 from the tables instead, never from that partition, so the two are
 independent engines for the same cosets.
@@ -26,7 +25,6 @@ independent engines for the same cosets.
 from __future__ import annotations
 
 from itertools import chain
-from typing import NamedTuple
 
 from .rootsys import WeylElement, WeylGroup, normalize_subset
 
@@ -34,65 +32,21 @@ from .rootsys import WeylElement, WeylGroup, normalize_subset
 def parabolic_elements(group: WeylGroup, J) -> tuple[WeylElement, ...]:
     """All elements of the standard parabolic W_J, in enumeration order."""
     subset = normalize_subset(group.rank, J)
+    right = group._right
     seen = {0}
     queue = [0]
     while queue:
         x = queue.pop()
         for i in subset:
-            y = group.right_index(x, i)
+            y = right[i][x]
             if y not in seen:
                 seen.add(y)
                 queue.append(y)
     return tuple(group.elements[x] for x in sorted(seen))
 
 
-class DoubleCoset(NamedTuple):
-    """One (W_J, W_K) double coset, elements in enumeration order."""
-
-    elements: tuple[WeylElement, ...]
-    min_rep: WeylElement
-    max_rep: WeylElement
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-
-class DoubleCosetDecomposition:
-    """Partition of W into (W_J, W_K) double cosets.
-
-    Cosets are ordered by their minimal representative (length, then lex on
-    the canonical word), i.e. by enumeration index of min_rep.
-    ``J`` and ``K`` are normalized subsets; ``members[i]`` lists the
-    element indices of coset i in enumeration order, and ``_tags[x]`` is
-    the position of the coset of the element with index x.  ``cosets``
-    holds the ``DoubleCoset`` records, built on first read and kept, so
-    ``coset_of(w)`` is the same object as ``cosets[i]``.
-    """
-
-    __slots__ = ("group", "J", "K", "members", "_tags", "_cosets")
-
-    def __init__(self, group: WeylGroup, J, K, members: list[list[int]], tags: list[int]):
-        self.group, self.J, self.K = group, J, K
-        self.members, self._tags, self._cosets = members, tags, None
-
-    @property
-    def cosets(self) -> tuple[DoubleCoset, ...]:
-        if self._cosets is None:
-            at = self.group.elements.__getitem__
-            elems = [tuple(map(at, xs)) for xs in self.members]
-            self._cosets = tuple(DoubleCoset(es, es[0], es[-1]) for es in elems)
-        return self._cosets
-
-    def coset_of(self, w: WeylElement) -> DoubleCoset:
-        return self.cosets[self._tags[w.index]]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def double_cosets(group: WeylGroup, J, K) -> DoubleCosetDecomposition:
-    """Decompose W into (W_J, W_K) double cosets W_J w W_K.
+def double_cosets(group: WeylGroup, J, K) -> list[list[int]]:
+    """Decompose W into (W_J, W_K) double cosets W_J w W_K, as index lists.
 
     One pass over the group in enumeration order.  An element x with a left
     descent j in J joins the coset of s_j x; otherwise one with a right
@@ -100,11 +54,11 @@ def double_cosets(group: WeylGroup, J, K) -> DoubleCosetDecomposition:
     is the minimal element of its coset and opens a new one.  Both s_j x and
     x s_k are shorter than x, and enumeration is breadth-first by length, so
     they have smaller indices and are already placed.  Cosets therefore come
-    out ordered by min_rep, each with its members in enumeration order.
+    out ordered by min rep, each an ascending list of element indices: its
+    first entry is the min rep, its last the max rep.
     """
-    subJ = normalize_subset(group.rank, J)
-    subK = normalize_subset(group.rank, K)
-    mask_j, mask_k = _mask(subJ), _mask(subK)
+    mask_j = _mask(normalize_subset(group.rank, J))
+    mask_k = _mask(normalize_subset(group.rank, K))
     rdesc = group._rdesc
     inv = group._inv
     left = group._left
@@ -124,7 +78,7 @@ def double_cosets(group: WeylGroup, J, K) -> DoubleCosetDecomposition:
                 members.append([])
         tags[x] = tag
         members[tag].append(x)
-    return DoubleCosetDecomposition(group, subJ, subK, members, tags)
+    return members
 
 
 def _component_reps(group: WeylGroup, J, K) -> list[tuple[int, bool]]:
@@ -149,16 +103,17 @@ def min_double_coset_rep(w: WeylElement, J, K) -> WeylElement:
     group = w.group
     mask_j = _mask(normalize_subset(group.rank, J))
     mask_k = _mask(normalize_subset(group.rank, K))
+    rdesc, inv, left, right = group._rdesc, group._inv, group._left, group._right
     x = w.index
     while True:
-        down = group.left_descent_mask(x) & mask_j
+        down = rdesc[inv[x]] & mask_j
         if down:
-            x = group.left_index(x, (down & -down).bit_length() - 1)
+            x = left[(down & -down).bit_length() - 1][x]
             continue
-        down = group.right_descent_mask(x) & mask_k
+        down = rdesc[x] & mask_k
         if not down:
             return group.elements[x]
-        x = group.right_index(x, (down & -down).bit_length() - 1)
+        x = right[(down & -down).bit_length() - 1][x]
 
 
 def max_double_coset_rep(w: WeylElement, J, K) -> WeylElement:
@@ -185,10 +140,8 @@ def is_minimal_in_double_coset(w: WeylElement, J, K) -> bool:
     group = w.group
     mask_j = _mask(normalize_subset(group.rank, J))
     mask_k = _mask(normalize_subset(group.rank, K))
-    return not (
-        group.left_descent_mask(w.index) & mask_j
-        or group.right_descent_mask(w.index) & mask_k
-    )
+    x, rdesc = w.index, group._rdesc
+    return not (rdesc[group._inv[x]] & mask_j or rdesc[x] & mask_k)
 
 
 def maximal_reps(group: WeylGroup, J, K) -> tuple[WeylElement, ...]:

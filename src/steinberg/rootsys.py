@@ -398,15 +398,17 @@ class WeylGroup:
 
     Elements are the indices 0..order-1 of the rho-orbit enumeration, each
     with its canonical word.  The length, descent, inverse and
-    simple-reflection tables are built at enumeration.  The full product
-    table (groups of order at most ``_PRODUCT_TABLE_LIMIT``) is built on
-    the first product (``product_row`` or ``product_index``), so callers
-    that never multiply two arbitrary elements never pay for it.  The
-    per-subset coset tables (``_left_top`` and ``_right_quotient``, keyed
-    by the subset's bit mask) are likewise built on first use, at most one
-    per subset and side: top_J is a list over W, and W^K is stored as
-    positions grouped by left descent mask beside a list of the tops
-    x·w_K, so a filter on left descents reads groups, not members.
+    simple-reflection tables (``_length``, ``_rdesc``, ``_inv``, ``_right``
+    and ``_left``) are built at enumeration, and the other modules read
+    them directly.  The full product table (groups of order at most
+    ``_PRODUCT_TABLE_LIMIT``) is built on the first ``product_row`` call,
+    so callers that never multiply two arbitrary elements never pay for
+    it.  The per-subset coset tables (``_left_top`` and
+    ``_right_quotient``, keyed by the subset's bit mask) are likewise built
+    on first use, at most one per subset and side: top_J is a list over W,
+    and W^K is stored as positions grouped by left descent mask beside a
+    list of the tops x·w_K, so a filter on left descents reads groups, not
+    members.
     Canonical-word names are rendered one at a time on first use, by
     ``word_name_of``.  ``varieties`` keeps the rest of its per-group state
     here, so it lives and dies with the group: ``_pair``, the context of
@@ -514,9 +516,6 @@ class WeylGroup:
 
     # -- index-level fast layer -------------------------------------------
 
-    def length_of(self, x: int) -> int:
-        return self._length[x]
-
     def product_row(self, x: int):
         """Row x of the multiplication table: ``product_row(x)[y]`` is x*y.
 
@@ -531,9 +530,6 @@ class WeylGroup:
                 return _FoldedRow(self, x)
             table = self._table = self._product_table()
         return table[x]
-
-    def product_index(self, x: int, y: int) -> int:
-        return self.product_row(x)[y]
 
     def _product_table(self) -> list[tuple[int, ...]]:
         # x = p·s_i with p = x·s_i its canonical prefix, so x·y = p·(s_i·y):
@@ -592,40 +588,24 @@ class WeylGroup:
             name = self._named[x] = word_name(self._words[x])
         return name
 
-    def inverse_index(self, x: int) -> int:
-        return self._inv[x]
-
-    def right_index(self, x: int, s: int) -> int:
-        return self._right[s][x]
-
-    def left_index(self, x: int, s: int) -> int:
-        return self._left[s][x]
-
-    def right_descent_mask(self, x: int) -> int:
-        return self._rdesc[x]
-
-    def left_descent_mask(self, x: int) -> int:
-        return self._rdesc[self._inv[x]]
-
     # -- element-level API --------------------------------------------------
 
     def simple_reflection(self, i: int) -> WeylElement:
-        if not 0 <= i < self.rank:
-            raise InvalidSubset(f"simple reflection index {i} out of range")
-        return self.simple[i]
+        return self.element_by_word((i,))
 
     def element_by_word(self, word) -> WeylElement:
         x = 0
         for i in word:
-            if not 0 <= i < self.rank:
-                raise InvalidSubset(f"letter {i} out of range")
+            if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < self.rank:
+                raise InvalidSubset(f"letter {i!r} is not a simple reflection index "
+                                    f"for rank {self.rank}")
             x = self._right[i][x]
         return self.elements[x]
 
     def multiply(self, u: WeylElement, w: WeylElement) -> WeylElement:
         if u.group is not self or w.group is not self:
             raise MixedGroups("elements belong to different groups")
-        return self.elements[self.product_index(u.index, w.index)]
+        return self.elements[self.product_row(u.index)[w.index]]
 
     def invert(self, w: WeylElement) -> WeylElement:
         if w.group is not self:

@@ -95,7 +95,11 @@ def geometry_profile(roots: RootSystem) -> GeometryProfile:
 
 def parabolic_length(roots: RootSystem, J) -> int:
     """Positive roots supported on J = length of the longest element of W_J."""
-    mask = parabolic._mask(parabolic.normalize_subset(roots.rank, J))
+    return _supported(roots, parabolic._mask(parabolic.normalize_subset(roots.rank, J)))
+
+
+def _supported(roots: RootSystem, mask: int) -> int:
+    """Positive roots whose support lies in the bit mask."""
     return sum(1 for support in roots._supports if not support & ~mask)
 
 
@@ -108,9 +112,8 @@ def pair_profile(roots: RootSystem, J, K) -> PairProfile:
     subJ = parabolic.normalize_subset(roots.rank, J)
     subK = parabolic.normalize_subset(roots.rank, K)
     n = roots.n_positive
-    mask_j, mask_k = parabolic._mask(subJ), parabolic._mask(subK)
-    len_j = sum(1 for support in roots._supports if not support & ~mask_j)
-    len_k = sum(1 for support in roots._supports if not support & ~mask_k)
+    len_j = _supported(roots, parabolic._mask(subJ))
+    len_k = _supported(roots, parabolic._mask(subK))
     f = len_j + len_k
     return PairProfile(
         J=subJ,
@@ -160,7 +163,8 @@ class PairContext:
     ``parabolic._component_reps``, which reads the descent and top tables:
     its length is the expected side of the three dimension reports.
     ``dec_kj`` is the one-pass partition of ``double_cosets`` for
-    (W_K, W_J): it indexes the vectors whose span is the computed side.
+    (W_K, W_J), one element index list per coset: it indexes the vectors
+    whose span is the computed side.
     Idempotents and bases are built on first use.
     """
 
@@ -190,12 +194,12 @@ class PairContext:
     @cached_property
     def invariant(self) -> SubspaceBasis:
         """Basis of e_K QW e_J, one uniform vector per (W_K, W_J) coset."""
-        return algebra._invariant_basis(self.dec_kj)
+        return algebra._invariant_basis(self.group, self.dec_kj)
 
     @cached_property
     def anti_invariant(self) -> SubspaceBasis:
         """Basis of eps_K QW eps_J from the sign-averaged max reps."""
-        return algebra._anti_invariant_basis(self.dec_kj, self.eps_k, self.eps_j)
+        return algebra._anti_invariant_basis(self.group, self.dec_kj, self.eps_k, self.eps_j)
 
 
 def pair_context(group: WeylGroup, J, K) -> PairContext:
@@ -315,8 +319,8 @@ def hotta_verification(group: WeylGroup, s: int) -> VerificationReport:
     set must be exactly the complement of the minimal ({s}, empty)-coset
     representatives, those without s as a left descent in the descent
     table, and every eigenspace vector v must satisfy v * delta_s = -v,
-    multiplied in QW rather than read off ``right_index``.  All five checks
-    feed ``passed``.  When a vector is not negated,
+    multiplied in QW rather than read off the ``_right`` table.  All five
+    checks feed ``passed``.  When a vector is not negated,
     ``detail["first_not_negated"]`` names its first element.
     """
     half = group.order // 2
@@ -374,8 +378,8 @@ def averaging_image_check(group: WeylGroup, J, K) -> VerificationReport:
         ("e_K", e_k, ctx.K, group._right, 1),
         ("e_J", e_j, ctx.J, group._left, 1),
     ))
-    members, vectors, at = ctx.dec_kj.members, basis.vectors, group.elements
-    reps = [at[xs[0]] for xs in members]
+    cosets, vectors, at = ctx.dec_kj, basis.vectors, group.elements
+    reps = [at[xs[0]] for xs in cosets]
     images = algebra._sandwiches(e_k, reps, e_j)
     unfixed = next(
         (
@@ -385,12 +389,12 @@ def averaging_image_check(group: WeylGroup, J, K) -> VerificationReport:
         ),
         None,
     )
-    fixed = unfixed is None and len(vectors) == len(members)
+    fixed = unfixed is None and len(vectors) == len(cosets)
     expected = len(ctx.reps)
     computed = basis.dimension
     passed = fixed and not faults and computed == expected
     detail = {
-        "kernel_dim": group.order - len(members),
+        "kernel_dim": group.order - len(cosets),
         "order": group.order,
         "basis_fixed_by_projector": fixed,
     }

@@ -193,9 +193,9 @@ def union_find_coset_count(group, J, K) -> int:
 
     for x in range(order):
         for j in J:
-            union(x, group.left_index(x, j))
+            union(x, group._left[j][x])
         for k in K:
-            union(x, group.right_index(x, k))
+            union(x, group._right[k][x])
     return sum(1 for x in range(order) if find(x) == x)
 
 
@@ -228,15 +228,15 @@ def bruhat_matrix_by_reflection_chains(group) -> list[int]:
     strictly increasing length at each step."""
     refl = reflections(group)
     index_map = perm_index_map(group)
-    order = group.order
-    by_length = sorted(range(order), key=group.length_of)
+    order, length = group.order, group._length
+    by_length = sorted(range(order), key=length.__getitem__)
     down = [0] * order
     for x in by_length:
         mask = 1 << x
-        lx = group.length_of(x)
+        lx = length[x]
         for t in refl:
             y = perm_mul(group, t, x, index_map)
-            if group.length_of(y) < lx:
+            if length[y] < lx:
                 mask |= down[y]
         down[x] = mask
     return down

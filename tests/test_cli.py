@@ -16,9 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as hyp
 
-from steinberg import (
-    algebra, cartan_from_name, cli, enumerate_weyl, parabolic, root_system, varieties,
-)
+from steinberg import algebra, cli, parabolic, varieties
 from steinberg.algebra import SubspaceBasis
 from steinberg.varieties import VerificationReport
 
@@ -130,26 +128,6 @@ def test_verify_default_sweeps_everything(capsys):
     assert code == 0
     # 4 pairs x 3 checks + 1 hotta line + summary
     assert out.splitlines()[-1] == "summary: 13 passed, 0 failed"
-
-
-def test_verify_and_table_sweeps_build_no_double_coset(capsys, monkeypatch):
-    # the computed side reads the partition's member indices; a DoubleCoset
-    # record is made only when a caller reads ``cosets``
-    built = []
-
-    class Counted(parabolic.DoubleCoset):
-        def __new__(cls, *fields):
-            built.append(fields)
-            return super().__new__(cls, *fields)
-
-    monkeypatch.setattr(parabolic, "DoubleCoset", Counted)
-    for argv in (["verify", "--type", "B3"], ["table", "--type", "B3", "--all-pairs"]):
-        code, out, err = run(capsys, argv)
-        assert code == 0 and err == "" and out, argv
-    assert built == []
-    # the count does see the records that a read of ``cosets`` builds
-    g = enumerate_weyl(root_system(cartan_from_name("B3")))
-    assert len(parabolic.double_cosets(g, [0], [1]).cosets) == len(built) > 0
 
 
 def test_verify_json_schema(capsys):
@@ -869,3 +847,16 @@ def test_cli_bytes_frozen_corpus(tmp_path, capsys, command, name, fmt):
     assert code == 0 and err == ""
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == CORPUS_SHA256[command, name, fmt]
+
+
+def test_readme_quickstart_prints_what_it_says():
+    # the README's ```python block ends each print line with the exact line printed
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line.rsplit("  # ", 1)[1] for line in block.splitlines()
+                if line.startswith("print(")]
+    assert len(expected) >= 5
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == expected

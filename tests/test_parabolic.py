@@ -120,16 +120,16 @@ def test_double_cosets_a2_example():
     g = _group("A2")
     dec = double_cosets(g, [0], [1])
     assert len(dec) == 2
-    assert sorted(c.size for c in dec.cosets) == [2, 4]
-    assert [c.min_rep.name for c in dec.cosets] == ["e", "s2s1"]
-    assert [c.max_rep.name for c in dec.cosets] == ["s1s2", "s1s2s1"]
+    assert sorted(len(xs) for xs in dec) == [2, 4]
+    assert [g.elements[xs[0]].name for xs in dec] == ["e", "s2s1"]
+    assert [g.elements[xs[-1]].name for xs in dec] == ["s1s2", "s1s2s1"]
 
 
 def test_double_cosets_b2_example():
     g = _group("B2")
     dec = double_cosets(g, [0], [1])
     assert len(dec) == 2
-    assert [c.size for c in dec.cosets] == [4, 4]
+    assert [len(xs) for xs in dec] == [4, 4]
 
 
 def test_double_cosets_edge_subsets():
@@ -137,13 +137,13 @@ def test_double_cosets_edge_subsets():
     # J = K = empty: singleton cosets, one per element
     dec = double_cosets(g, [], [])
     assert len(dec) == 6
-    assert all(c.size == 1 for c in dec.cosets)
+    assert all(len(xs) == 1 for xs in dec)
     # J = K = full: one coset, the whole group
     dec = double_cosets(g, [0, 1], [0, 1])
     assert len(dec) == 1
-    assert dec.cosets[0].size == 6
-    assert dec.cosets[0].min_rep == g.identity
-    assert dec.cosets[0].max_rep == g.longest_element()
+    assert len(dec[0]) == 6
+    assert g.elements[dec[0][0]] == g.identity
+    assert g.elements[dec[0][-1]] == g.longest_element()
 
 
 def test_decomposition_is_partition():
@@ -152,26 +152,28 @@ def test_decomposition_is_partition():
         for J in orc.all_subsets(g.rank):
             for K in orc.all_subsets(g.rank):
                 dec = double_cosets(g, J, K)
-                seen = [w.index for c in dec.cosets for w in c.elements]
+                seen = [x for xs in dec for x in xs]
                 assert sorted(seen) == list(range(g.order))
-                for c in dec.cosets:
-                    for w in c.elements:
-                        assert dec.coset_of(w) is c
+                owner = {x: xs for xs in dec for x in xs}
+                for xs in dec:
+                    for x in xs:
+                        assert owner[x] is xs
 
 
 @pytest.mark.parametrize("name", ["A2", "B3", "G2", "D4"])
 def test_members_index_the_cosets_built_on_read(name):
+    # the partition is its index lists: one ascending list per coset, led by
+    # the coset's min rep and ended by its max rep, in min-rep order
     g = _group(name)
     for J in orc.all_subsets(g.rank):
         for K in orc.all_subsets(g.rank):
             dec = double_cosets(g, J, K)
-            cosets = dec.cosets
-            assert dec.cosets is cosets  # built once, then kept
-            assert dec.members == [[w.index for w in c.elements] for c in cosets]
-            assert len(dec) == len(cosets)
-            for i, xs in enumerate(dec.members):
-                for x in xs:
-                    assert dec.coset_of(g.elements[x]) is cosets[i]
+            mins = [w.index for w in g.elements if is_minimal_in_double_coset(w, J, K)]
+            assert [xs[0] for xs in dec] == mins
+            assert len(dec) == len(mins)
+            for xs in dec:
+                assert type(xs) is list and xs == sorted(set(xs))
+                assert max_double_coset_rep(g.elements[xs[0]], J, K).index == xs[-1]
 
 
 def test_cosets_match_literal_product_sets():
@@ -186,9 +188,9 @@ def test_cosets_match_literal_product_sets():
     rng = random.Random(7)
     cases += [(g, rng.choice(subsets), rng.choice(subsets)) for _ in range(10)]
     for g, J, K in cases:
-        for c in double_cosets(g, J, K).cosets:
-            brute = orc.brute_double_coset(g, c.min_rep, J, K)
-            assert {w.index for w in c.elements} == set(brute)
+        for xs in double_cosets(g, J, K):
+            brute = orc.brute_double_coset(g, g.elements[xs[0]], J, K)
+            assert set(xs) == set(brute)
 
 
 def test_coset_count_matches_union_find():
@@ -205,15 +207,15 @@ def test_coset_order_and_rep_extremality():
         for J in orc.all_subsets(g.rank):
             for K in orc.all_subsets(g.rank):
                 dec = double_cosets(g, J, K)
-                min_indices = [c.min_rep.index for c in dec.cosets]
+                min_indices = [xs[0] for xs in dec]
                 assert min_indices == sorted(min_indices)
-                for c in dec.cosets:
-                    lengths = [w.length for w in c.elements]
+                for xs in dec:
+                    lengths = [g.elements[x].length for x in xs]
                     # unique shortest and longest member
                     assert lengths.count(min(lengths)) == 1
                     assert lengths.count(max(lengths)) == 1
-                    assert c.min_rep.length == min(lengths)
-                    assert c.max_rep.length == max(lengths)
+                    assert g.elements[xs[0]].length == min(lengths)
+                    assert g.elements[xs[-1]].length == max(lengths)
 
 
 def test_greedy_reps_match_orbit_extremes():
@@ -221,11 +223,13 @@ def test_greedy_reps_match_orbit_extremes():
         g = _group(name)
         for J in orc.all_subsets(g.rank):
             for K in orc.all_subsets(g.rank):
-                for c in double_cosets(g, J, K).cosets:
-                    for w in c.elements:
-                        assert min_double_coset_rep(w, J, K) == c.min_rep
-                        assert max_double_coset_rep(w, J, K) == c.max_rep
-                        assert is_minimal_in_double_coset(w, J, K) == (w == c.min_rep)
+                for xs in double_cosets(g, J, K):
+                    lo, hi = g.elements[xs[0]], g.elements[xs[-1]]
+                    for x in xs:
+                        w = g.elements[x]
+                        assert min_double_coset_rep(w, J, K) == lo
+                        assert max_double_coset_rep(w, J, K) == hi
+                        assert is_minimal_in_double_coset(w, J, K) == (w == lo)
 
 
 def test_greedy_reps_d4_sampled():
@@ -236,10 +240,9 @@ def test_greedy_reps_d4_sampled():
         J = rng.choice(subsets)
         K = rng.choice(subsets)
         w = g.elements[rng.randrange(g.order)]
-        dec = double_cosets(g, J, K)
-        c = dec.coset_of(w)
-        assert min_double_coset_rep(w, J, K) == c.min_rep
-        assert max_double_coset_rep(w, J, K) == c.max_rep
+        xs = next(xs for xs in double_cosets(g, J, K) if w.index in xs)
+        assert min_double_coset_rep(w, J, K) == g.elements[xs[0]]
+        assert max_double_coset_rep(w, J, K) == g.elements[xs[-1]]
 
 
 @pytest.mark.parametrize("name", ["B3", "D4", "F4"])
@@ -314,15 +317,15 @@ def test_size_formula_index_of_stabilizer():
             for K in orc.all_subsets(g.rank):
                 WJ = orc.brute_parabolic(g, J)
                 WK = orc.brute_parabolic(g, K)
-                for c in double_cosets(g, J, K).cosets:
-                    d = c.min_rep.index
+                for xs in double_cosets(g, J, K):
+                    d = xs[0]
                     di = orc.perm_inv(g, d, index_map)
                     conj = {
                         orc.perm_mul(g, orc.perm_mul(g, d, b, index_map), di, index_map)
                         for b in WK
                     }
                     stab = len(WJ & conj)
-                    assert c.size * stab == len(WJ) * len(WK)
+                    assert len(xs) * stab == len(WJ) * len(WK)
 
 
 def test_reps_bound_coset_in_bruhat_order():
@@ -330,10 +333,11 @@ def test_reps_bound_coset_in_bruhat_order():
         g = _group(name)
         for J in orc.all_subsets(g.rank):
             for K in orc.all_subsets(g.rank):
-                for c in double_cosets(g, J, K).cosets:
-                    for w in c.elements:
-                        assert g.bruhat_leq(c.min_rep, w)
-                        assert g.bruhat_leq(w, c.max_rep)
+                for xs in double_cosets(g, J, K):
+                    lo, hi = g.elements[xs[0]], g.elements[xs[-1]]
+                    for x in xs:
+                        assert g.bruhat_leq(lo, g.elements[x])
+                        assert g.bruhat_leq(g.elements[x], hi)
 
 
 _types = hyp.sampled_from(["A2", "B2", "G2", "A3"])

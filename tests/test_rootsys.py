@@ -347,17 +347,17 @@ def test_product_table_built_on_first_product():
             y_components(g, J, K)
     # enumeration and the components sweep never multiply two elements
     assert g._table is None
-    g.product_index(1, 2)
+    g.product_row(1)
     assert g._table is not None
     index_map = orc.perm_index_map(g)
     rng = random.Random(5)
     for _ in range(500):
         x, y = rng.randrange(g.order), rng.randrange(g.order)
-        assert g.product_index(x, y) == orc.perm_mul(g, x, y, index_map)
+        assert g.product_row(x)[y] == orc.perm_mul(g, x, y, index_map)
 
 
 @pytest.mark.parametrize("name", ["B3", "A6"])
-def test_product_row_matches_product_index_and_oracle(name):
+def test_product_row_matches_multiply_and_oracle(name):
     g = _group(name)
     # B3 reads rows of the full table; A6 is over the limit and folds words
     assert (g.order > _PRODUCT_TABLE_LIMIT) == (name == "A6")
@@ -368,7 +368,8 @@ def test_product_row_matches_product_index_and_oracle(name):
     for x in xs:
         row = g.product_row(x)
         for y in ys:
-            assert row[y] == g.product_index(x, y) == orc.perm_mul(g, x, y, index_map)
+            product = g.multiply(g.elements[x], g.elements[y]).index
+            assert row[y] == product == orc.perm_mul(g, x, y, index_map)
 
 
 def test_mixed_groups_rejected():
@@ -386,6 +387,13 @@ def test_element_by_word():
     assert g.element_by_word([1, 0, 1]).name == "s1s2s1"  # braid-equivalent word
     with pytest.raises(InvalidSubset):
         g.element_by_word([5])
+    # a bool or a non-int is no letter, as it is no subset entry
+    for letter in (True, False, "0", 1.0, None):
+        with pytest.raises(InvalidSubset):
+            g.element_by_word([letter])
+        with pytest.raises(InvalidSubset):
+            g.simple_reflection(letter)
+    assert g.simple_reflection(1) is g.simple[1]
 
 
 # -- descents and longest elements ------------------------------------------

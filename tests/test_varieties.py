@@ -141,8 +141,8 @@ def test_y_components_equidimensional():
                 assert all(c.dim_yw == p.dim_y for c in comps)
                 assert all(c.dim_zw == p.dim_x for c in comps)
                 # dimension is preserved exactly for singleton cosets
-                for c, coset in zip(comps, double_cosets(g, J, K).cosets):
-                    assert c.eta_dim_preserved == (coset.size == 1)
+                for c, xs in zip(comps, double_cosets(g, J, K)):
+                    assert c.eta_dim_preserved == (len(xs) == 1)
 
 
 def test_components_sweep_builds_one_table_per_subset_and_side():
@@ -169,9 +169,9 @@ def test_y_components_match_double_cosets(name):
     for J in orc.all_subsets(g.rank):
         for K in orc.all_subsets(g.rank):
             comps = y_components(g, J, K)
-            cosets = double_cosets(g, J, K).cosets
-            assert [c.label for c in comps] == [c.max_rep for c in cosets]
-            assert [c.eta_dim_preserved for c in comps] == [c.size == 1 for c in cosets]
+            cosets = double_cosets(g, J, K)
+            assert [c.label for c in comps] == [g.elements[xs[-1]] for xs in cosets]
+            assert [c.eta_dim_preserved for c in comps] == [len(xs) == 1 for xs in cosets]
 
 
 def test_verify_invariant_examples():
@@ -264,7 +264,7 @@ def test_subsets_are_checked_where_they_enter(monkeypatch, capsys):
 def test_hotta_descent_side_is_not_the_descent_table():
     g = _group("B3")  # a private group: its descent table is corrupted below
     s = 0
-    left = [g.left_descent_mask(x) for x in range(g.order)]
+    left = [g._rdesc[g._inv[x]] for x in range(g.order)]
     descent = next(x for x in range(g.order) if left[x] >> s & 1)
     ascent = next(x for x in range(g.order) if not left[x] >> s & 1)
     for x in (descent, ascent):
@@ -276,17 +276,14 @@ def test_hotta_descent_side_is_not_the_descent_table():
     assert not r.passed
 
 
-def test_hotta_eigenspace_side_multiplies_by_delta_s(monkeypatch):
+def test_hotta_eigenspace_side_multiplies_by_delta_s():
     g = _group("B3")
     s, other = 0, 1
     assert "first_not_negated" not in hotta_verification(g, s).detail
-    real = WeylGroup.right_index
-
-    def wrong(self, x, t):
-        # x·s2 in place of x·s1: still an involution, so every count holds
-        return real(self, x, other if t == s else t)
-
-    monkeypatch.setattr(WeylGroup, "right_index", wrong)
+    # x·s2 in place of x·s1: still an involution, so every count holds; the
+    # product table is built first, from the true column
+    g.product_row(0)
+    g._right[s] = list(g._right[other])
     r = hotta_verification(g, s)
     assert r.detail["eigenspace_dim"] == r.detail["descent_count"] == g.order // 2
     assert r.detail["descent_set_is_nonminimal_set"] is True
@@ -534,12 +531,7 @@ def test_expected_side_mutation_fails_every_report(monkeypatch, name):
 
 def _merge_last_two(dec):
     """``dec`` with its last two cosets merged into one."""
-    *members, a, b = dec.members
-    members.append(sorted(a + b))
-    tags = list(dec._tags)
-    for x in b:
-        tags[x] = len(members) - 1
-    return parabolic.DoubleCosetDecomposition(dec.group, dec.J, dec.K, members, tags)
+    return dec[:-2] + [sorted(dec[-2] + dec[-1])]
 
 
 @pytest.mark.parametrize("name", ["A3", "B3"])
@@ -572,7 +564,7 @@ def _swap_two_transpositions(column):
 
 @pytest.mark.parametrize("name", ["A3", "B3"])
 def test_wrong_right_multiplication_fails_the_sweep(name):
-    # right_index(·, s) turns wrong: the descent walks of double_cosets and
+    # column s of _right turns wrong: the descent walks of double_cosets and
     # the absorption checks read it.  The product table is a separate table,
     # built first from the true one (its build indexes earlier rows through
     # _right, so a wrong column could send it to a row not yet built).
@@ -627,17 +619,17 @@ def test_checks_make_one_sandwich_pass_per_pair(monkeypatch):
     monkeypatch.setattr(algebra.AlgebraElement, "__mul__", counted_mul)
     monkeypatch.setattr(algebra, "_sandwiches", counted_sandwiches)
     ctx = varieties.pair_context(g, J, K)
-    cosets = ctx.dec_kj.cosets
+    cosets = ctx.dec_kj
     assert averaging_image_check(g, J, K).passed
     # e_K·δ_x·e_J for each coset's min rep x, in coset order, in one pass
     [(a, xs, b)] = passes
     assert a is ctx.e_k and b is ctx.e_j
-    assert xs == [c.min_rep for c in cosets]
+    assert xs == [g.elements[ys[0]] for ys in cosets]
     passes.clear()
     assert verify_anti_invariant_isomorphism(g, J, K).passed
     [(a, xs, b)] = passes
     assert a is ctx.eps_k and b is ctx.eps_j
-    assert xs == [c.max_rep for c in cosets]
+    assert xs == [g.elements[ys[-1]] for ys in cosets]
     assert products == []
 
 
