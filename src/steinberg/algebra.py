@@ -128,7 +128,7 @@ class AlgebraElement:
     def __mul__(self, other):
         """Convolution product self·δ_e·other, or scaling by an int or Fraction."""
         if isinstance(other, AlgebraElement):
-            return next(_sandwiches(self, [self.group.identity], other))
+            return next(_sandwiches(self, [0], other))
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -193,14 +193,14 @@ def _same_group(a: AlgebraElement, b: AlgebraElement) -> None:
 def _sandwiches(
     a: AlgebraElement, xs, b: AlgebraElement
 ) -> Iterator[AlgebraElement]:
-    """a·δ_x·b for each x in xs, in order: one convolution pass for all x.
+    """a·δ_x·b for each element index x in xs, in order: one convolution pass.
 
     a's product rows and b's keys and numerators are fetched once.  For
     each x, δ_x·b is read off one row as (x·v, b_v) pairs; the double loop
     then accumulates the integer products a_u·b_v at u·x·v, and one
     lowest-terms step over a._d·b._d follows.  The products are yielded
     one at a time, so a caller that compares each with something holds
-    only one of them.  ``a * b`` is the case xs = [e].
+    only one of them.  ``a * b`` is the case xs = [0], the identity.
     """
     group = a.group
     _same_group(a, b)
@@ -209,9 +209,7 @@ def _sandwiches(
     keys, nums = list(b._n), list(b._n.values())
     d = a._d * b._d
     for x in xs:
-        if x.group is not group:
-            raise MixedGroups("sandwiched element lives in a different group")
-        xb = list(zip(map(product_row(x.index).__getitem__, keys), nums))
+        xb = list(zip(map(product_row(x).__getitem__, keys), nums))
         acc: dict[int, int] = {}
         for row, m in left:
             for y, n in xb:
@@ -367,17 +365,13 @@ def anti_invariant_basis(group: WeylGroup, J, K) -> SubspaceBasis:
     space e_K·QW·eps_J, where the two twists can cancel.)
     """
     return _anti_invariant_basis(
-        group,
-        double_cosets(group, K, J),
-        sign_idempotent(group, K),
-        sign_idempotent(group, J),
+        double_cosets(group, K, J), sign_idempotent(group, K), sign_idempotent(group, J)
     )
 
 
-def _anti_invariant_basis(group: WeylGroup, cosets, eps_k, eps_j) -> SubspaceBasis:
+def _anti_invariant_basis(cosets, eps_k, eps_j) -> SubspaceBasis:
     """eps_k·δ_m·eps_j for the max rep m of each coset, ranked."""
-    at = group.elements
-    return span_dimension(_sandwiches(eps_k, [at[xs[-1]] for xs in cosets], eps_j))
+    return span_dimension(_sandwiches(eps_k, [xs[-1] for xs in cosets], eps_j))
 
 
 def right_sign_eigenspace(group: WeylGroup, s: int) -> SubspaceBasis:

@@ -219,8 +219,9 @@ def _table_doc(fmt, tag, roots, group, pairs, tally: Counter) -> Iterator[str]:
     def batches():
         for J, K in pairs:
             pair = varieties.pair_profile(roots, J, K)
-            inv = varieties._dimension_report(group, J, K, False)
-            anti = varieties._dimension_report(group, J, K, True)
+            ctx = varieties.pair_context(group, J, K)
+            inv = varieties._dimension_report(ctx, False)
+            anti = varieties._dimension_report(ctx, True)
             passed = inv.passed and anti.passed
             yield [_row(fmt, TABLE_COLUMNS, [
                 tag, J, K, profile.n, profile.d, profile.l, pair.f, pair.dim_x, pair.dim_y,

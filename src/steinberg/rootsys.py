@@ -286,16 +286,19 @@ class RootSystem:
 
     The order is by height, then reverse-lexicographic on coordinates, so
     the simple roots come first as alpha_1, ..., alpha_r.  ``_supports``
-    holds each positive root's support as a bit mask.
+    holds each positive root's support as a bit mask; ``_lengths`` maps a
+    subset mask to l(w_J), the number of those supports inside it, and is
+    filled by ``varieties`` on first use.
     """
 
-    __slots__ = ("datum", "positive", "_supports")
+    __slots__ = ("datum", "positive", "_supports", "_lengths")
 
     def __init__(self, datum: CartanDatum):
         self.datum = datum
         coords = _closure(datum.matrix, DEFAULT_ROOT_CAP)
         self.positive: tuple[Root, ...] = tuple(Root(c) for c in coords)
         self._supports = tuple(sum(1 << i for i, c in enumerate(b) if c) for b in coords)
+        self._lengths: dict[int, int] = {}
 
     @property
     def rank(self) -> int:
@@ -687,9 +690,13 @@ def normalize_subset(rank: int, J) -> tuple[int, ...]:
     Each public function that takes a subset calls this once, where the
     subset enters; the private helpers behind it take the returned tuple.
     """
+    try:
+        entries = iter(J)
+    except TypeError:
+        raise InvalidSubset(f"subset {J!r} is not a collection of integers") from None
     out = []
     seen = set()
-    for i in J:
+    for i in entries:
         if not isinstance(i, int) or isinstance(i, bool):
             raise InvalidSubset(f"subset entry {i!r} is not an integer")
         if not 0 <= i < rank:

@@ -9,16 +9,18 @@ recompute both sides of each dimension identity independently and report
 exact integer comparisons.
 
 The three per-pair verifiers share one ``PairContext`` from
-``pair_context``: the (W_J, W_K) max reps read off the coset tables (the
-expected side), the (W_K, W_J) decomposition from one ``double_cosets``
-call (which indexes the computed side), plus the idempotents e_J, e_K,
-eps_J, eps_K and the invariant and anti-invariant bases, each built on
-first use.  The group keeps the context of its most recent (J, K), so a
-sweep holds one pair's worth of vectors at a time, and per (subset, sign)
-the idempotent and its absorption verdicts, so a sweep builds each once
-and checks its absorption once.  All of it is freed with the group.
-A subset is checked once, where it enters a public function; the helpers
-behind it, such as ``parabolic._component_reps``, take the normalized tuple.
+``pair_context``, whose fields are plain data: ``reps``, the (W_J, W_K)
+max rep indices read off the coset tables (the expected side);
+``dec_kj``, the (W_K, W_J) index lists of one ``double_cosets`` call
+(which index the computed side); and the idempotents ``e_j``, ``e_k``,
+``eps_j`` and ``eps_k``.  Only the invariant and anti-invariant bases,
+the expensive part, are built on first use.  The group keeps the context
+of its most recent (J, K), so a sweep holds one pair's worth of vectors
+at a time, and per (subset, sign) the idempotent and its absorption
+verdicts, so a sweep builds each once and checks its absorption once.
+All of it is freed with the group.  A subset is checked once, where it
+enters a public function; the helpers behind it, such as
+``parabolic._component_reps``, take the normalized tuple.
 """
 
 from __future__ import annotations
@@ -99,8 +101,11 @@ def parabolic_length(roots: RootSystem, J) -> int:
 
 
 def _supported(roots: RootSystem, mask: int) -> int:
-    """Positive roots whose support lies in the bit mask."""
-    return sum(1 for support in roots._supports if not support & ~mask)
+    """Positive roots whose support lies in the bit mask, counted once per mask."""
+    n = roots._lengths.get(mask)
+    if n is None:
+        n = roots._lengths[mask] = sum(1 for s in roots._supports if not s & ~mask)
+    return n
 
 
 def pair_profile(roots: RootSystem, J, K) -> PairProfile:
@@ -164,8 +169,9 @@ class PairContext:
     its length is the expected side of the three dimension reports.
     ``dec_kj`` is the one-pass partition of ``double_cosets`` for
     (W_K, W_J), one element index list per coset: it indexes the vectors
-    whose span is the computed side.
-    Idempotents and bases are built on first use.
+    whose span is the computed side.  The idempotents e_J, e_K, eps_J and
+    eps_K are the group's own, from ``_idempotent``; the bases are built
+    on first use.
     """
 
     def __init__(self, group: WeylGroup, J: tuple[int, ...], K: tuple[int, ...]):
@@ -174,22 +180,8 @@ class PairContext:
         self.K = K
         self.reps = parabolic._component_reps(group, J, K)
         self.dec_kj = parabolic.double_cosets(group, K, J)
-
-    @cached_property
-    def e_j(self) -> AlgebraElement:
-        return _idempotent(self.group, self.J, False)
-
-    @cached_property
-    def e_k(self) -> AlgebraElement:
-        return _idempotent(self.group, self.K, False)
-
-    @cached_property
-    def eps_j(self) -> AlgebraElement:
-        return _idempotent(self.group, self.J, True)
-
-    @cached_property
-    def eps_k(self) -> AlgebraElement:
-        return _idempotent(self.group, self.K, True)
+        self.e_j, self.e_k = _idempotent(group, J, False), _idempotent(group, K, False)
+        self.eps_j, self.eps_k = _idempotent(group, J, True), _idempotent(group, K, True)
 
     @cached_property
     def invariant(self) -> SubspaceBasis:
@@ -199,7 +191,7 @@ class PairContext:
     @cached_property
     def anti_invariant(self) -> SubspaceBasis:
         """Basis of eps_K QW eps_J from the sign-averaged max reps."""
-        return algebra._anti_invariant_basis(self.group, self.dec_kj, self.eps_k, self.eps_j)
+        return algebra._anti_invariant_basis(self.dec_kj, self.eps_k, self.eps_j)
 
 
 def pair_context(group: WeylGroup, J, K) -> PairContext:
@@ -268,7 +260,7 @@ def _absorption_holds(group: WeylGroup, e: AlgebraElement, subset, table, twist)
 
 def verify_invariant_isomorphism(group: WeylGroup, J, K) -> VerificationReport:
     """dim e_K QW e_J must equal the number of (W_J, W_K) double cosets."""
-    return _dimension_report(group, J, K, False)
+    return _dimension_report(pair_context(group, J, K), False)
 
 
 def verify_anti_invariant_isomorphism(group: WeylGroup, J, K) -> VerificationReport:
@@ -281,17 +273,17 @@ def verify_anti_invariant_isomorphism(group: WeylGroup, J, K) -> VerificationRep
     support inside its parabolic, and Σ sgn(u)·c_u = 1.  When one fails,
     ``detail["absorption_fails"]`` names it.
     """
-    report = _dimension_report(group, J, K, True)
-    names = [group.word_name_of(m) for m, _ in pair_context(group, J, K).reps]
+    ctx = pair_context(group, J, K)
+    report = _dimension_report(ctx, True)
+    names = [group.word_name_of(m) for m, _ in ctx.reps]
     return report._replace(detail={"maximal_reps": names, **report.detail})
 
 
-def _dimension_report(group: WeylGroup, J, K, sign: bool) -> VerificationReport:
+def _dimension_report(ctx: PairContext, sign: bool) -> VerificationReport:
     """The invariant report, or with ``sign`` the anti-invariant one less its
     ``maximal_reps`` names: the verdict that ``verify`` prints and each
     ``table`` row reads."""
-    ctx = pair_context(group, J, K)
-    expected = len(ctx.reps)
+    group, expected = ctx.group, len(ctx.reps)
     if sign:
         basis = ctx.anti_invariant
         faults = _absorption_faults(group, (
@@ -327,10 +319,9 @@ def hotta_verification(group: WeylGroup, s: int) -> VerificationReport:
     eigen = algebra.right_sign_eigenspace(group, s)
     delta_s = algebra.delta(group.simple[s])
     unnegated = [v for v in eigen.vectors if v * delta_s != -v]
-    length, left = group._length, group._left[s]
-    descents = [w for w in group.elements if length[left[w.index]] < length[w.index]]
-    rdesc, inv = group._rdesc, group._inv
-    nonminimal = [w for w in group.elements if rdesc[inv[w.index]] >> s & 1]
+    length, rdesc, inv = group._length, group._rdesc, group._inv
+    descents = [x for x, y in enumerate(group._left[s]) if length[y] < length[x]]
+    nonminimal = [x for x, y in enumerate(inv) if rdesc[y] >> s & 1]
     sets_match = descents == nonminimal
     passed = eigen.dimension == half == len(descents) and sets_match and not unnegated
     detail = {
@@ -340,7 +331,7 @@ def hotta_verification(group: WeylGroup, s: int) -> VerificationReport:
         "descent_set_is_nonminimal_set": sets_match,
     }
     if unnegated:
-        detail["first_not_negated"] = group.word_name_of(unnegated[0].support[0].index)
+        detail["first_not_negated"] = group.word_name_of(min(unnegated[0]._n))
     return VerificationReport(
         claim=f"hotta s={s + 1}",
         expected=half,
@@ -378,8 +369,8 @@ def averaging_image_check(group: WeylGroup, J, K) -> VerificationReport:
         ("e_K", e_k, ctx.K, group._right, 1),
         ("e_J", e_j, ctx.J, group._left, 1),
     ))
-    cosets, vectors, at = ctx.dec_kj, basis.vectors, group.elements
-    reps = [at[xs[0]] for xs in cosets]
+    cosets, vectors = ctx.dec_kj, basis.vectors
+    reps = [xs[0] for xs in cosets]
     images = algebra._sandwiches(e_k, reps, e_j)
     unfixed = next(
         (
@@ -399,7 +390,7 @@ def averaging_image_check(group: WeylGroup, J, K) -> VerificationReport:
         "basis_fixed_by_projector": fixed,
     }
     if unfixed is not None:
-        detail["first_unfixed"] = group.word_name_of(unfixed.index)
+        detail["first_unfixed"] = group.word_name_of(unfixed)
     if faults:
         detail["absorption_fails"] = faults
     return VerificationReport(

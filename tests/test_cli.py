@@ -173,10 +173,16 @@ def _csv_rows(out):
 
 
 def _delta_e_where_nonempty(side):
-    """PairContext's eps_J (side "J") or eps_K ("K"), δ_e when that subset is nonempty."""
-    real = getattr(varieties.PairContext, f"eps_{side.lower()}").func
-    return property(lambda ctx: algebra.delta(ctx.group.identity) if getattr(ctx, side)
-                    else real(ctx))
+    """PairContext.__init__ that sets eps_J (side "J") or eps_K ("K") to δ_e when
+    that subset is nonempty."""
+    real = varieties.PairContext.__init__
+
+    def init(ctx, group, J, K):
+        real(ctx, group, J, K)
+        if getattr(ctx, side):
+            setattr(ctx, f"eps_{side.lower()}", algebra.delta(group.identity))
+
+    return init
 
 
 @pytest.mark.parametrize("sides", ["J", "K", "JK"])
@@ -189,8 +195,7 @@ def test_table_fails_a_row_under_a_sign_mutation(capsys, monkeypatch, name, side
         monkeypatch.setattr(varieties, "_idempotent", lambda group, S, sign: (
             algebra.delta(group.identity) if sign and S else real(group, S, sign)))
     else:
-        monkeypatch.setattr(varieties.PairContext, f"eps_{sides.lower()}",
-                            _delta_e_where_nonempty(sides))
+        monkeypatch.setattr(varieties.PairContext, "__init__", _delta_e_where_nonempty(sides))
     code, out, err = run(capsys, ["table", "--type", name, "--all-pairs", "--format", "csv"])
     rows = _csv_rows(out)
     assert len(rows) == 4 ** 3
@@ -625,9 +630,9 @@ def test_closed_stdout_exit_code_counts_written_table_rows(capsys, monkeypatch, 
                                                            expected):
     real = varieties._dimension_report
 
-    def first_pair_fails(group, J, K, sign):
-        report = real(group, J, K, sign)
-        return report._replace(passed=False) if (J, K, sign) == ((), (), True) else report
+    def first_pair_fails(ctx, sign):
+        report = real(ctx, sign)
+        return report._replace(passed=False) if (ctx.J, ctx.K, sign) == ((), (), True) else report
 
     monkeypatch.setattr(varieties, "_dimension_report", first_pair_fails)
     sink = Sink(closed_at=closed_at)

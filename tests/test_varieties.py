@@ -624,12 +624,12 @@ def test_checks_make_one_sandwich_pass_per_pair(monkeypatch):
     # e_K·δ_x·e_J for each coset's min rep x, in coset order, in one pass
     [(a, xs, b)] = passes
     assert a is ctx.e_k and b is ctx.e_j
-    assert xs == [g.elements[ys[0]] for ys in cosets]
+    assert xs == [ys[0] for ys in cosets]
     passes.clear()
     assert verify_anti_invariant_isomorphism(g, J, K).passed
     [(a, xs, b)] = passes
     assert a is ctx.eps_k and b is ctx.eps_j
-    assert xs == [g.elements[ys[-1]] for ys in cosets]
+    assert xs == [ys[-1] for ys in cosets]
     assert products == []
 
 
