@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .errors import InvalidSubset, MixedGroups
 from .parabolic import double_cosets, parabolic_elements
-from .rootsys import WeylElement, WeylGroup
+from .rootsys import WeylElement, WeylGroup, normalize_subset
 
 
 class AlgebraElement:
@@ -364,6 +364,7 @@ def anti_invariant_basis(group: WeylGroup, J, K) -> SubspaceBasis:
     is nonzero on the whole coset of m.  (Zeros arise only in the mixed
     space e_K·QW·eps_J, where the two twists can cancel.)
     """
+    J, K = normalize_subset(group.rank, J), normalize_subset(group.rank, K)
     return _anti_invariant_basis(
         double_cosets(group, K, J), sign_idempotent(group, K), sign_idempotent(group, J)
     )

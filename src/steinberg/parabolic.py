@@ -119,9 +119,9 @@ def min_double_coset_rep(w: WeylElement, J, K) -> WeylElement:
 def max_double_coset_rep(w: WeylElement, J, K) -> WeylElement:
     """Maximal-length element of W_J w W_K: top_J[x·w_K] for its min rep x."""
     group = w.group
+    J, K = normalize_subset(group.rank, J), normalize_subset(group.rank, K)
     x = min_double_coset_rep(w, J, K).index
-    top_j = group._left_top(_mask(normalize_subset(group.rank, J)))
-    top_k, inv = group._left_top(_mask(normalize_subset(group.rank, K))), group._inv
+    top_j, top_k, inv = group._left_top(_mask(J)), group._left_top(_mask(K)), group._inv
     # x·w_K, the top of x·W_K, is the inverse of the top of W_K·x^-1
     return group.elements[top_j[inv[top_k[inv[x]]]]]
 

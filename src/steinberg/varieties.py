@@ -8,18 +8,18 @@ X and Y have components indexed by double cosets.  The verifiers
 recompute both sides of each dimension identity independently and report
 exact integer comparisons.
 
-The three per-pair verifiers share one ``PairContext`` from
-``pair_context``, whose fields are plain data: ``reps``, the (W_J, W_K)
-max rep indices read off the coset tables (the expected side);
-``dec_kj``, the (W_K, W_J) index lists of one ``double_cosets`` call
-(which index the computed side); and the idempotents ``e_j``, ``e_k``,
-``eps_j`` and ``eps_k``.  Only the invariant and anti-invariant bases,
-the expensive part, are built on first use.  The group keeps the context
-of its most recent (J, K), so a sweep holds one pair's worth of vectors
-at a time, and per (subset, sign) the idempotent and its absorption
-verdicts, so a sweep builds each once and checks its absorption once.
-All of it is freed with the group.  A subset is checked once, where it
-enters a public function; the helpers behind it, such as
+The three per-pair verifiers read one ``PairContext`` from
+``pair_context`` and return through one builder, ``_pair_report``: the
+expected side is the coset count off the coset tables (``reps``), the
+computed side the rank of a basis indexed by one ``double_cosets`` call
+(``dec_kj``), and ``_absorption_faults`` names which of the context's
+own idempotents fail absorption.  Only the two bases, the expensive
+part, are built on first use.  The group keeps the context of its most
+recent (J, K), so a sweep holds one pair's worth of vectors at a time,
+and per (subset, sign) the idempotent and its absorption verdicts, so a
+sweep builds each once and checks its absorption once.  All of it is
+freed with the group.  A subset is checked once, where it enters a
+public function; the helpers behind it, such as
 ``parabolic._component_reps``, take the normalized tuple.
 """
 
@@ -166,12 +166,13 @@ class PairContext:
     The two sides of each report come from different algorithms.  ``reps``
     holds (max rep index, eta) per (W_J, W_K) coset from
     ``parabolic._component_reps``, which reads the descent and top tables:
-    its length is the expected side of the three dimension reports.
+    its length is the expected side of the three pair reports.
     ``dec_kj`` is the one-pass partition of ``double_cosets`` for
     (W_K, W_J), one element index list per coset: it indexes the vectors
     whose span is the computed side.  The idempotents e_J, e_K, eps_J and
-    eps_K are the group's own, from ``_idempotent``; the bases are built
-    on first use.
+    eps_K are the group's own, from ``_idempotent``, and
+    ``_absorption_faults(ctx, sign)`` names those of one sign that fail;
+    the bases are built on first use.
     """
 
     def __init__(self, group: WeylGroup, J: tuple[int, ...], K: tuple[int, ...]):
@@ -217,28 +218,28 @@ def _idempotent(group: WeylGroup, J: tuple[int, ...], sign: bool) -> AlgebraElem
     return entry[0]
 
 
-def _absorption_faults(group: WeylGroup, checks) -> list[str]:
-    """Names of the idempotents that are not the one they claim to be.
+def _absorption_faults(ctx: PairContext, sign: bool) -> list[str]:
+    """Names of the pair's idempotents that are not the one they claim to be.
 
-    ``checks`` holds (name, e, subset, table, twist): e must be e_subset
-    (twist 1) or eps_subset (twist -1); ``table`` is ``_right`` to test
-    e·δ_s = twist·e, ``_left`` to test δ_s·e = twist·e, for s in subset.
-    With the support in W_subset (every canonical word in its letters)
-    that makes c_u = twist^l(u)·c_e, and Σ twist^l(u)·c_u = 1 fixes
-    c_e = 1/|W_subset|: e is the idempotent, so e² = e.  No product is formed.
-    The verdict for the group's own idempotent of (subset, twist) is kept
-    beside it, one per side; any other element is checked afresh.
+    Those are e_K and e_J (twist 1), or with ``sign`` eps_K and eps_J
+    (twist -1), named in that order.  The K one must satisfy e·δ_t = twist·e
+    for t in K, read off ``_right``; the J one δ_s·e = twist·e for s in J,
+    read off ``_left``.  With the support in W_subset (every canonical word
+    in its letters) that makes c_u = twist^l(u)·c_e, and Σ twist^l(u)·c_u = 1
+    fixes c_e = 1/|W_subset|: e is the idempotent, so e² = e.  No product is
+    formed.  The verdict for the group's own idempotent of (subset, sign) is
+    kept beside it, one per side; any other element is checked afresh.
     """
+    group, twist = ctx.group, -1 if sign else 1
+    e_k, e_j = (ctx.eps_k, ctx.eps_j) if sign else (ctx.e_k, ctx.e_j)
     faults = []
-    for name, e, subset, table, twist in checks:
-        subset = tuple(subset)
-        entry = group._idempotents.get((subset, twist < 0))
+    for side, e, subset, table in ("K", e_k, ctx.K, group._right), ("J", e_j, ctx.J, group._left):
+        entry = group._idempotents.get((subset, sign))
         verdicts = entry[1] if entry is not None and entry[0] is e else {}
-        side = table is group._right
-        if side not in verdicts:
+        if side not in verdicts:  # K's verdict is its right one, J's its left one
             verdicts[side] = _absorption_holds(group, e, subset, table, twist)
         if not verdicts[side]:
-            faults.append(name)
+            faults.append(("eps_" if sign else "e_") + side)
     return faults
 
 
@@ -258,6 +259,22 @@ def _absorption_holds(group: WeylGroup, e: AlgebraElement, subset, table, twist)
     )
 
 
+def _pair_report(ctx: PairContext, stem, basis, detail, faults, clause=True) -> VerificationReport:
+    """The rank of ``basis`` against the coset count: passed if they agree,
+    ``clause`` holds and ``faults``, set last in ``detail``, is empty."""
+    expected, computed = len(ctx.reps), basis.dimension
+    if faults:
+        detail["absorption_fails"] = faults
+    return VerificationReport(
+        claim=f"{stem} J={_fmt(ctx.J)} K={_fmt(ctx.K)}",
+        expected=expected,
+        computed=computed,
+        passed=clause and not faults and expected == computed,
+        witness=basis,
+        detail=detail,
+    )
+
+
 def verify_invariant_isomorphism(group: WeylGroup, J, K) -> VerificationReport:
     """dim e_K QW e_J must equal the number of (W_J, W_K) double cosets."""
     return _dimension_report(pair_context(group, J, K), False)
@@ -268,39 +285,24 @@ def verify_anti_invariant_isomorphism(group: WeylGroup, J, K) -> VerificationRep
 
     The computed side is the rank of eps_K·δ_m·eps_J over the max reps m
     of the (W_K, W_J) cosets.  It also requires eps_K and eps_J to be the
-    sign idempotents, by sign-twisted absorption read off the tables:
-    eps_K·δ_t = -eps_K for t in K, δ_s·eps_J = -eps_J for s in J, each
-    support inside its parabolic, and Σ sgn(u)·c_u = 1.  When one fails,
-    ``detail["absorption_fails"]`` names it.
+    sign idempotents, by sign-twisted absorption read off the tables
+    (``_absorption_faults(ctx, True)``): eps_K·δ_t = -eps_K for t in K,
+    δ_s·eps_J = -eps_J for s in J, each support inside its parabolic, and
+    Σ sgn(u)·c_u = 1.  ``detail`` names the ``maximal_reps`` and, when one
+    fails, the idempotent in ``absorption_fails``.
     """
     ctx = pair_context(group, J, K)
-    report = _dimension_report(ctx, True)
     names = [group.word_name_of(m) for m, _ in ctx.reps]
-    return report._replace(detail={"maximal_reps": names, **report.detail})
+    return _dimension_report(ctx, True, maximal_reps=names)
 
 
-def _dimension_report(ctx: PairContext, sign: bool) -> VerificationReport:
-    """The invariant report, or with ``sign`` the anti-invariant one less its
-    ``maximal_reps`` names: the verdict that ``verify`` prints and each
-    ``table`` row reads."""
-    group, expected = ctx.group, len(ctx.reps)
+def _dimension_report(ctx: PairContext, sign: bool, **detail) -> VerificationReport:
+    """The invariant report, or with ``sign`` the anti-invariant one after the
+    caller's ``detail``: the verdict that ``verify`` prints and ``table`` reads."""
     if sign:
-        basis = ctx.anti_invariant
-        faults = _absorption_faults(group, (
-            ("eps_K", ctx.eps_k, ctx.K, group._right, -1),
-            ("eps_J", ctx.eps_j, ctx.J, group._left, -1),
-        ))
-        detail = {"absorption_fails": faults} if faults else {}
-    else:
-        basis, faults, detail = ctx.invariant, [], {"cosets": expected}
-    return VerificationReport(
-        claim=f"{'anti-' if sign else ''}invariant-dimension J={_fmt(ctx.J)} K={_fmt(ctx.K)}",
-        expected=expected,
-        computed=basis.dimension,
-        passed=expected == basis.dimension and not faults,
-        witness=basis,
-        detail=detail,
-    )
+        faults = _absorption_faults(ctx, True)
+        return _pair_report(ctx, "anti-invariant-dimension", ctx.anti_invariant, detail, faults)
+    return _pair_report(ctx, "invariant-dimension", ctx.invariant, {"cosets": len(ctx.reps)}, [])
 
 
 def hotta_verification(group: WeylGroup, s: int) -> VerificationReport:
@@ -346,9 +348,9 @@ def averaging_image_check(group: WeylGroup, J, K) -> VerificationReport:
     """Rank and kernel of the projector P: v -> e_K * v * e_J on QW.
 
     - Absorption: e_K·δ_t = e_K for t in K and δ_s·e_J = e_J for s in J,
-      with supports and coefficient sums checked (``_absorption_faults``),
-      so e_K and e_J are the idempotents and P(δ_{u·x·u'}) = P(δ_x) for u
-      in W_K, u' in W_J.
+      with supports and coefficient sums checked
+      (``_absorption_faults(ctx, False)``), so e_K and e_J are the
+      idempotents and P(δ_{u·x·u'}) = P(δ_x) for u in W_K, u' in W_J.
     - One product per (W_K, W_J) coset: e_K·δ_x·e_J for its min rep x must
       equal the coset's basis vector.  All of them come from one
       ``algebra._sandwiches`` pass.  Every w of the coset is u·x·u'
@@ -363,27 +365,12 @@ def averaging_image_check(group: WeylGroup, J, K) -> VerificationReport:
     and ``detail["absorption_fails"]`` the idempotents that do not absorb.
     """
     ctx = pair_context(group, J, K)
-    basis = ctx.invariant
-    e_j, e_k = ctx.e_j, ctx.e_k
-    faults = _absorption_faults(group, (
-        ("e_K", e_k, ctx.K, group._right, 1),
-        ("e_J", e_j, ctx.J, group._left, 1),
-    ))
-    cosets, vectors = ctx.dec_kj, basis.vectors
+    cosets, vectors = ctx.dec_kj, ctx.invariant.vectors
     reps = [xs[0] for xs in cosets]
-    images = algebra._sandwiches(e_k, reps, e_j)
-    unfixed = next(
-        (
-            x
-            for i, (x, image) in enumerate(zip(reps, images))
-            if i == len(vectors) or image != vectors[i]
-        ),
-        None,
-    )
+    images = algebra._sandwiches(ctx.e_k, reps, ctx.e_j)
+    # a coset past the last basis vector has no vector to equal: None pads it
+    unfixed = next((x for x, image, v in zip(reps, images, (*vectors, None)) if image != v), None)
     fixed = unfixed is None and len(vectors) == len(cosets)
-    expected = len(ctx.reps)
-    computed = basis.dimension
-    passed = fixed and not faults and computed == expected
     detail = {
         "kernel_dim": group.order - len(cosets),
         "order": group.order,
@@ -391,16 +378,8 @@ def averaging_image_check(group: WeylGroup, J, K) -> VerificationReport:
     }
     if unfixed is not None:
         detail["first_unfixed"] = group.word_name_of(unfixed)
-    if faults:
-        detail["absorption_fails"] = faults
-    return VerificationReport(
-        claim=f"averaging-image J={_fmt(ctx.J)} K={_fmt(ctx.K)}",
-        expected=expected,
-        computed=computed,
-        passed=passed,
-        witness=basis,
-        detail=detail,
-    )
+    faults = _absorption_faults(ctx, False)
+    return _pair_report(ctx, "averaging-image", ctx.invariant, detail, faults, fixed)
 
 
 def report_jsonable(report: VerificationReport) -> dict:

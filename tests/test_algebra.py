@@ -161,6 +161,11 @@ def test_arithmetic_and_zero_deletion():
     assert a.scale(Fraction(2, 3)) == Fraction(2, 3) * a == a * Fraction(2, 3)
     assert 0 * a == AlgebraElement(g)
     assert a.scale(0).support == ()
+    assert repr(a.scale(Fraction(1, 2))) == "1/2*e + 1/2*s1"
+    assert repr(a - a) == "0"
+    # only elements of QW add; a scalar is not read as a multiple of δ_e
+    with pytest.raises(TypeError):
+        a + 1
 
 
 def test_convolution_matches_group_product():

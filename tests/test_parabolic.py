@@ -54,13 +54,9 @@ def test_normalize_subset_checks_every_call():
         normalize_subset(3, (3,))
 
 
-@pytest.mark.parametrize(
-    "bad", [(3,), (True,), (2.0, 1), (1, 1), ("1",), None, 5, 1.0], ids=repr)
-def test_every_public_subset_taker_refuses_a_bad_subset(bad):
-    # each subset is checked once, where it enters; these are the entries.
-    # A subset that is not iterable at all must not escape as a TypeError
-    g = _group("A3")
-    w = g.elements[7]
+def _subset_takers(g, w):
+    """Every public function that takes subsets, by name: those of one subset,
+    then those of a pair (J, K)."""
     v = algebra.delta(w)
     one = [
         ("normalize_subset", lambda S: normalize_subset(3, S)),
@@ -68,9 +64,8 @@ def test_every_public_subset_taker_refuses_a_bad_subset(bad):
         ("trivial_idempotent", lambda S: algebra.trivial_idempotent(g, S)),
         ("sign_idempotent", lambda S: algebra.sign_idempotent(g, S)),
         ("parabolic_length", lambda S: varieties.parabolic_length(g.roots, S)),
+        ("WeylGroup.longest_element", g.longest_element),
     ]
-    if bad is not None:  # longest_element(None) is the longest element of W
-        one.append(("WeylGroup.longest_element", g.longest_element))
     two = [
         ("average", lambda J, K: algebra.average(J, K, v)),
         ("sign_average", lambda J, K: algebra.sign_average(J, K, v)),
@@ -83,6 +78,18 @@ def test_every_public_subset_taker_refuses_a_bad_subset(bad):
         varieties.y_components, varieties.pair_context,
         varieties.verify_invariant_isomorphism, varieties.verify_anti_invariant_isomorphism,
         varieties.averaging_image_check)]
+    return one, two
+
+
+@pytest.mark.parametrize(
+    "bad", [(3,), (True,), (2.0, 1), (1, 1), ("1",), None, 5, 1.0], ids=repr)
+def test_every_public_subset_taker_refuses_a_bad_subset(bad):
+    # each subset is checked once, where it enters; these are the entries.
+    # A subset that is not iterable at all must not escape as a TypeError
+    g = _group("A3")
+    one, two = _subset_takers(g, g.elements[7])
+    if bad is None:  # longest_element(None) is the longest element of W
+        one = [(name, call) for name, call in one if name != "WeylGroup.longest_element"]
     calls = [(name, call, (bad,)) for name, call in one]
     calls += [(name, call, args) for name, call in two for args in ((bad, (0,)), ((0,), bad))]
     for name, call, args in calls:
@@ -91,6 +98,18 @@ def test_every_public_subset_taker_refuses_a_bad_subset(bad):
         except InvalidSubset:
             continue
         pytest.fail(f"{name}{args} did not raise InvalidSubset")
+
+
+def test_every_public_subset_taker_reads_a_subset_once():
+    # a subset may be a one-shot iterator: read twice, it is empty the second time
+    g = _group("A3")
+    J, K = (0, 1), (1, 2)
+    one, two = _subset_takers(g, g.elements[7])
+    calls = [(name, call, (J,)) for name, call in one]
+    calls += [(name, call, (J, K)) for name, call in two]
+    differ = [name for name, call, args in calls
+              if call(*map(iter, args)) != call(*args)]
+    assert differ == []
 
 
 def test_parabolic_elements_examples():

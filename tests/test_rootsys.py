@@ -213,8 +213,11 @@ def test_standard_matrices():
 
 def test_positive_root_order_a2():
     # expected values computed once by the independent closure enumeration oracle, then frozen
-    roots = root_system(cartan_from_name("A2")).positive
+    rs = root_system(cartan_from_name("A2"))
+    roots = rs.positive
     assert [r.coords for r in roots] == [(1, 0), (0, 1), (1, 1)]
+    assert repr(roots[2]) == "Root((1, 1))"
+    assert repr(rs) == "RootSystem(A2, 3 positive roots)"
 
 
 def test_positive_root_order_b2_g2():
@@ -261,6 +264,8 @@ def test_enumeration_order_b2():
     g = _group("B2")
     assert [w.name for w in g] == [
         "e", "s1", "s2", "s1s2", "s2s1", "s1s2s1", "s2s1s2", "s1s2s1s2"]
+    assert repr(g) == "WeylGroup(B2, order 8)"
+    assert repr(g.elements[3]) == "s1s2"
 
 
 def test_enumeration_order_is_length_then_lex():
@@ -379,6 +384,12 @@ def test_mixed_groups_rejected():
         g1.multiply(g1.identity, g2.identity)
     with pytest.raises(MixedGroups):
         g1.invert(g2.identity)
+    for u, w in ((g1.identity, g2.identity), (g2.identity, g1.identity)):
+        with pytest.raises(MixedGroups):
+            g1.bruhat_leq(u, w)
+    # an element times anything but an element is no product at all
+    with pytest.raises(TypeError):
+        g1.identity * 2
 
 
 def test_element_by_word():

@@ -494,6 +494,28 @@ def test_mutation_fails_its_report(name, kind):
     assert averaging_image_check(g, (0,), (1,)).passed
 
 
+def test_failing_pair_reports_keep_their_detail():
+    # the frozen corpus holds passing reports only, so this pins the detail
+    # of failing ones: its key order, and the faults named K first, then J
+    g = _group("A3")
+    J, K = (0, 1), (1, 2)
+    averaging_keys = ["kernel_dim", "order", "basis_fixed_by_projector", "first_unfixed"]
+    for fields, report, keys, names in (
+        (("eps_k", "eps_j"), verify_anti_invariant_isomorphism, ["maximal_reps"],
+         ["eps_K", "eps_J"]),
+        (("e_k", "e_j"), averaging_image_check, averaging_keys, ["e_K", "e_J"]),
+    ):
+        g._pair = None
+        ctx = varieties.pair_context(g, J, K)
+        for field in fields:
+            _set_delta_e(field)(ctx)
+        result = report(g, J, K)
+        assert not result.passed
+        assert list(result.detail) == keys + ["absorption_fails"]
+        assert result.detail["absorption_fails"] == names
+    g._pair = None
+
+
 PAIR_REPORTS = [
     verify_invariant_isomorphism,
     verify_anti_invariant_isomorphism,
@@ -687,17 +709,17 @@ def test_absorption_needs_support_translation_and_sum():
     J, S = (0, 1), (0, 1, 2)
     e_j, eps_j = algebra.trivial_idempotent(g, J), algebra.sign_idempotent(g, J)
 
-    def faults(e, twist, table=g._left):
-        return varieties._absorption_faults(g, [("x", e, J, table, twist)])
+    def holds(e, twist, table=g._left):
+        return varieties._absorption_holds(g, e, J, table, twist)
 
-    assert faults(e_j, 1) == faults(e_j, 1, g._right) == []
-    assert faults(eps_j, -1) == faults(eps_j, -1, g._right) == []
+    assert holds(e_j, 1) and holds(e_j, 1, g._right)
+    assert holds(eps_j, -1) and holds(eps_j, -1, g._right)
     # absorbs every s in J with sum 1, but supported on all of W
-    assert faults(algebra.trivial_idempotent(g, S), 1) == ["x"]
-    assert faults(algebra.sign_idempotent(g, S), -1) == ["x"]
+    assert not holds(algebra.trivial_idempotent(g, S), 1)
+    assert not holds(algebra.sign_idempotent(g, S), -1)
     # supported in W_J with sum 1, but not absorbing
-    assert faults(algebra.delta(g.identity), 1) == ["x"]
-    assert faults(algebra.delta(g.identity), -1) == ["x"]
-    assert faults(e_j, -1) == faults(eps_j, 1) == ["x"]
+    assert not holds(algebra.delta(g.identity), 1)
+    assert not holds(algebra.delta(g.identity), -1)
+    assert not holds(e_j, -1) and not holds(eps_j, 1)
     # supported in W_J and absorbing, but summing to 2
-    assert faults(e_j * 2, 1) == faults(eps_j * 2, -1) == ["x"]
+    assert not holds(e_j * 2, 1) and not holds(eps_j * 2, -1)
