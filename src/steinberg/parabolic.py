@@ -2,11 +2,13 @@
 
 For simple subsets J and K, each (W_J, W_K) double coset contains a unique
 element of minimal length (no left descents in J, no right descents in K)
-and a unique element of maximal length (all of them are descents).  The
-minimum is reached greedily from any member.  The maximum over a minimal x
-is top_J[x·w_K], read from the group's per-subset tables (``_left_top``
-and ``_right_quotient``, built on first use): it is (w_J·w_I)·x·w_K with
-lengths adding, I = J ∩ xKx^-1, so it is the longest element of W_J·x·w_K
+and a unique element of maximal length (all of them are descents); one
+walk from any member (``WeylGroup._walk``) reaches either.  The reps of a
+whole pair (``_component_reps``, ``maximal_reps``) are read from the
+group's per-subset coset tables instead (``_left_top`` and
+``_right_quotient``, built on first use): the max over a minimal x is
+top_J[x·w_K] = (w_J·w_I)·x·w_K with lengths adding, I = J ∩ xKx^-1, so
+it is the longest element of W_J·x·w_K
 (Björner–Brenti, *Combinatorics of Coxeter Groups*, ch. 2).  W^K is kept
 grouped by left descent mask, each member's position beside x·w_K, so
 the min reps of a pair are the groups whose mask misses J: a pair costs
@@ -17,16 +19,15 @@ that is not minimal has a left descent in J or a right descent in K, and
 the shorter neighbour across it is an earlier element of the same coset.
 The partition is its index lists alone, one ascending list per coset;
 a caller that wants elements reads them off ``group.elements``.
-The representatives alone (``_component_reps``, ``maximal_reps``) come
-from the tables instead, never from that partition, so the two are
-independent engines for the same cosets.
+The walk, the partition and the tables read none of each other, so they
+are three independent engines for the same cosets.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 
-from .rootsys import WeylElement, WeylGroup, normalize_subset
+from .rootsys import WeylElement, WeylGroup, _mask, normalize_subset
 
 
 def parabolic_elements(group: WeylGroup, J) -> tuple[WeylElement, ...]:
@@ -57,12 +58,8 @@ def double_cosets(group: WeylGroup, J, K) -> list[list[int]]:
     out ordered by min rep, each an ascending list of element indices: its
     first entry is the min rep, its last the max rep.
     """
-    mask_j = _mask(normalize_subset(group.rank, J))
-    mask_k = _mask(normalize_subset(group.rank, K))
-    rdesc = group._rdesc
-    inv = group._inv
-    left = group._left
-    right = group._right
+    mask_j, mask_k = _masks(group, J, K)
+    rdesc, inv, left, right = group._rdesc, group._inv, group._left, group._right
     tags = [0] * group.order
     members: list[list[int]] = []
     for x in range(group.order):
@@ -99,36 +96,20 @@ def _component_reps(group: WeylGroup, J, K) -> list[tuple[int, bool]]:
 
 
 def min_double_coset_rep(w: WeylElement, J, K) -> WeylElement:
-    """Minimal-length element of W_J w W_K, by greedy descent removal."""
+    """Minimal-length element of W_J w W_K: the walk down from w."""
     group = w.group
-    mask_j = _mask(normalize_subset(group.rank, J))
-    mask_k = _mask(normalize_subset(group.rank, K))
-    rdesc, inv, left, right = group._rdesc, group._inv, group._left, group._right
-    x = w.index
-    while True:
-        down = rdesc[inv[x]] & mask_j
-        if down:
-            x = left[(down & -down).bit_length() - 1][x]
-            continue
-        down = rdesc[x] & mask_k
-        if not down:
-            return group.elements[x]
-        x = right[(down & -down).bit_length() - 1][x]
+    return group.elements[group._walk(w.index, *_masks(group, J, K), False)]
 
 
 def max_double_coset_rep(w: WeylElement, J, K) -> WeylElement:
-    """Maximal-length element of W_J w W_K: top_J[x·w_K] for its min rep x."""
+    """Maximal-length element of W_J w W_K: the walk up from w."""
     group = w.group
-    J, K = normalize_subset(group.rank, J), normalize_subset(group.rank, K)
-    x = min_double_coset_rep(w, J, K).index
-    top_j, top_k, inv = group._left_top(_mask(J)), group._left_top(_mask(K)), group._inv
-    # x·w_K, the top of x·W_K, is the inverse of the top of W_K·x^-1
-    return group.elements[top_j[inv[top_k[inv[x]]]]]
+    return group.elements[group._walk(w.index, *_masks(group, J, K), True)]
 
 
-def _mask(subset) -> int:
-    """Bit mask of a normalized subset of the simple reflections."""
-    return sum(1 << j for j in subset)
+def _masks(group: WeylGroup, J, K) -> tuple[int, int]:
+    """Bit masks of J and K, each checked where it enters a public function."""
+    return _mask(normalize_subset(group.rank, J)), _mask(normalize_subset(group.rank, K))
 
 
 def is_minimal_in_double_coset(w: WeylElement, J, K) -> bool:
@@ -138,8 +119,7 @@ def is_minimal_in_double_coset(w: WeylElement, J, K) -> bool:
     for J = {s}, K = empty this reads sw > w.
     """
     group = w.group
-    mask_j = _mask(normalize_subset(group.rank, J))
-    mask_k = _mask(normalize_subset(group.rank, K))
+    mask_j, mask_k = _masks(group, J, K)
     x, rdesc = w.index, group._rdesc
     return not (rdesc[group._inv[x]] & mask_j or rdesc[x] & mask_k)
 

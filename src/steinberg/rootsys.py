@@ -405,10 +405,10 @@ class WeylGroup:
     and ``_left``) are built at enumeration, and the other modules read
     them directly.  The full product table (groups of order at most
     ``_PRODUCT_TABLE_LIMIT``) is built on the first ``product_row`` call,
-    so callers that never multiply two arbitrary elements never pay for
-    it.  The per-subset coset tables (``_left_top`` and
-    ``_right_quotient``, keyed by the subset's bit mask) are likewise built
-    on first use, at most one per subset and side: top_J is a list over W,
+    which only the ℚW sandwich kernel makes.  The per-subset coset tables
+    (``_left_top`` and ``_right_quotient``, keyed by the subset's bit
+    mask) are built on first use by ``parabolic._component_reps`` alone,
+    at most one per subset and side: top_J is a list over W,
     and W^K is stored as positions grouped by left descent mask beside a
     list of the tops x·w_K, so a filter on left descents reads groups, not
     members.
@@ -584,6 +584,23 @@ class WeylGroup:
             quotient = self._quotients[mask] = (groups, tops)
         return quotient
 
+    def _walk(self, x: int, mask_j: int, mask_k: int, up: bool) -> int:
+        """The shortest (``up`` false) or longest element of W_J·x·W_K: each
+        step crosses the lowest letter of J that is a left descent (``up``:
+        an ascent), else such a letter of K on the right, until none is left.
+        """
+        rdesc, inv, left, right = self._rdesc, self._inv, self._left, self._right
+        flip = -1 if up else 0  # going up, the ascents are the complement
+        while True:
+            d = (rdesc[inv[x]] ^ flip) & mask_j
+            if d:
+                x = left[(d & -d).bit_length() - 1][x]
+                continue
+            d = (rdesc[x] ^ flip) & mask_k
+            if not d:
+                return x
+            x = right[(d & -d).bit_length() - 1][x]
+
     def word_name_of(self, x: int) -> str:
         """``word_name`` of one canonical word, rendered on its first use."""
         name = self._named.get(x)
@@ -606,9 +623,13 @@ class WeylGroup:
         return self.elements[x]
 
     def multiply(self, u: WeylElement, w: WeylElement) -> WeylElement:
+        """u·w: u's canonical word folded through ``_left`` from w, no table."""
         if u.group is not self or w.group is not self:
             raise MixedGroups("elements belong to different groups")
-        return self.elements[self.product_row(u.index)[w.index]]
+        z, left = w.index, self._left
+        for i in reversed(u.canonical_word):
+            z = left[i][z]
+        return self.elements[z]
 
     def invert(self, w: WeylElement) -> WeylElement:
         if w.group is not self:
@@ -627,20 +648,8 @@ class WeylGroup:
 
     def longest_element(self, J=None) -> WeylElement:
         """Longest element of the standard parabolic on ``J`` (default: all)."""
-        if J is None:
-            J = range(self.rank)
-        subset = normalize_subset(self.rank, J)
-        x = 0
-        moved = True
-        while moved:
-            moved = False
-            mask = self._rdesc[x]
-            for i in subset:
-                if not mask >> i & 1:
-                    x = self._right[i][x]
-                    moved = True
-                    break
-        return self.elements[x]
+        J = range(self.rank) if J is None else J
+        return self.elements[self._walk(0, 0, _mask(normalize_subset(self.rank, J)), True)]
 
     def bruhat_leq(self, u: WeylElement, w: WeylElement) -> bool:
         """Bruhat order test along the canonical reduced word of ``w``.
@@ -682,6 +691,11 @@ def enumerate_weyl(roots: RootSystem, order_cap: int = DEFAULT_ORDER_CAP) -> Wey
     order, which makes the enumeration index a total order on the group.
     """
     return WeylGroup(roots, order_cap=order_cap)
+
+
+def _mask(subset) -> int:
+    """Bit mask of a normalized subset of the simple reflections."""
+    return sum(1 << j for j in subset)
 
 
 def normalize_subset(rank: int, J) -> tuple[int, ...]:

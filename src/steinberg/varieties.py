@@ -313,14 +313,17 @@ def hotta_verification(group: WeylGroup, s: int) -> VerificationReport:
     set must be exactly the complement of the minimal ({s}, empty)-coset
     representatives, those without s as a left descent in the descent
     table, and every eigenspace vector v must satisfy v * delta_s = -v,
-    multiplied in QW rather than read off the ``_right`` table.  All five
-    checks feed ``passed``.  When a vector is not negated,
+    formed term by term through ``multiply``, which reads neither the
+    product table nor the ``_right`` column that paired the eigenspace.
+    All five checks feed ``passed``.  When a vector is not negated,
     ``detail["first_not_negated"]`` names its first element.
     """
     half = group.order // 2
     eigen = algebra.right_sign_eigenspace(group, s)
-    delta_s = algebra.delta(group.simple[s])
-    unnegated = [v for v in eigen.vectors if v * delta_s != -v]
+    elements, s_elt = group.elements, group.simple[s]
+    # v = -(v * delta_s): both over v's denominator, so compare the numerators
+    unnegated = [v for v in eigen.vectors if v._n != {
+        group.multiply(elements[x], s_elt).index: -n for x, n in v._n.items()}]
     length, rdesc, inv = group._length, group._rdesc, group._inv
     descents = [x for x, y in enumerate(group._left[s]) if length[y] < length[x]]
     nonminimal = [x for x, y in enumerate(inv) if rdesc[y] >> s & 1]

@@ -854,6 +854,24 @@ def test_cli_bytes_frozen_corpus(tmp_path, capsys, command, name, fmt):
     assert digest == CORPUS_SHA256[command, name, fmt]
 
 
+# stdout sha256 of verify --hotta --format json, recorded before the Hotta
+# check formed v·δ_s through multiply; the corpus above runs --all-pairs,
+# which makes no Hotta report, so these pin its witness and its detail
+HOTTA_SHA256 = {
+    "B2": "4c492b95bd8b68c771f67f811a5986422ae1f3a537cc6e8d11ee84de893b950d",
+    "G2": "e644474f40542129a8f6a0c03c5e596a2b40ff2950ae318b1c21b5b846e440da",
+    "B3": "9c1edadd63d28549def04da11fecb430aae3b271574e5e73e8ff5f0a7bd8c322",
+    "D4": "9683f0c18760aefd02794e3019bd3fc15385eb3006ed060287c24f08fb341eb0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOTTA_SHA256))
+def test_cli_bytes_frozen_hotta(capsys, name):
+    code, out, err = run(capsys, ["verify", "--type", name, "--hotta", "--format", "json"])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == HOTTA_SHA256[name]
+
+
 def test_readme_quickstart_prints_what_it_says():
     # the README's ```python block ends each print line with the exact line printed
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as hyp
 
 import oracles as orc
 from steinberg import InvalidSubset, cartan_from_name, enumerate_weyl, root_system
-from steinberg import algebra, varieties
+from steinberg import algebra, parabolic, varieties
 from steinberg.parabolic import (
     double_cosets,
     is_minimal_in_double_coset,
@@ -17,6 +17,7 @@ from steinberg.parabolic import (
     normalize_subset,
     parabolic_elements,
 )
+from steinberg.rootsys import _PRODUCT_TABLE_LIMIT
 
 
 def _group(name):
@@ -265,6 +266,48 @@ def test_greedy_reps_d4_sampled():
         xs = next(xs for xs in double_cosets(g, J, K) if w.index in xs)
         assert min_double_coset_rep(w, J, K) == g.elements[xs[0]]
         assert max_double_coset_rep(w, J, K) == g.elements[xs[-1]]
+
+
+@pytest.mark.parametrize("name,pairs", [("A3", None), ("B3", None), ("G2", None),
+                                        ("D4", None), ("B5", 20), ("E6", 5)])
+def test_walks_meet_the_partition_and_the_coset_tables(name, pairs):
+    # three engines for the same cosets: the walk up from the first index of
+    # a coset's list reaches its last, which is also the max rep that
+    # _component_reps reads off the coset tables; the walk down goes back
+    g = _group(name)
+    subsets = orc.all_subsets(g.rank)
+    cases = [(J, K) for J in subsets for K in subsets]
+    if pairs is not None:
+        cases = random.Random(13).sample(cases, pairs)
+    for J, K in cases:
+        mask_j, mask_k = sum(1 << j for j in J), sum(1 << k for k in K)
+        dec = double_cosets(g, J, K)
+        reps = parabolic._component_reps(g, J, K)
+        assert len(reps) == len(dec)
+        for xs, (top, _) in zip(dec, reps):
+            assert g._walk(xs[0], mask_j, mask_k, True) == xs[-1] == top
+            assert g._walk(xs[-1], mask_j, mask_k, False) == xs[0]
+
+
+@pytest.mark.parametrize("name", ["D5", "B5"])
+def test_single_answers_build_no_whole_group_table(name):
+    # one product, one coset extreme, one longest element and the Hotta
+    # check read the enumeration tables only: neither the product table
+    # (D5 is below its limit, B5 above) nor a per-subset coset table
+    g = _group(name)  # fresh, so nothing is built before these calls
+    assert (g.order > _PRODUCT_TABLE_LIMIT) == (name == "B5")
+    subsets = orc.all_subsets(g.rank)
+    rng = random.Random(17)
+    for _ in range(10):
+        u, w = rng.choice(g.elements), rng.choice(g.elements)
+        J, K = rng.choice(subsets), rng.choice(subsets)
+        assert g.multiply(u, w).length <= u.length + w.length
+        lo, hi = min_double_coset_rep(w, J, K), max_double_coset_rep(w, J, K)
+        assert lo.length <= w.length <= hi.length
+        assert g.longest_element(J).length == varieties.parabolic_length(g.roots, J)
+    for s in range(g.rank):
+        assert varieties.hotta_verification(g, s).passed
+    assert g._table is None and g._tops == {} and g._quotients == {}
 
 
 @pytest.mark.parametrize("name", ["B3", "D4", "F4"])

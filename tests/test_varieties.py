@@ -280,9 +280,8 @@ def test_hotta_eigenspace_side_multiplies_by_delta_s():
     g = _group("B3")
     s, other = 0, 1
     assert "first_not_negated" not in hotta_verification(g, s).detail
-    # x·s2 in place of x·s1: still an involution, so every count holds; the
-    # product table is built first, from the true column
-    g.product_row(0)
+    # x·s2 in place of x·s1: still an involution, so every count holds;
+    # multiply folds words through _left, built at enumeration from the true column
     g._right[s] = list(g._right[other])
     r = hotta_verification(g, s)
     assert r.detail["eigenspace_dim"] == r.detail["descent_count"] == g.order // 2
