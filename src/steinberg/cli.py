@@ -255,17 +255,17 @@ def _components_doc(fmt, tag, roots, group, pairs) -> Iterator[str]:
     def batches():
         for J, K in pairs:
             pair = varieties.pair_profile(roots, J, K)
-            # Y is equidimensional, so only the label and eta vary within a pair
+            # Y is equidimensional and eta one flag per pair: only the label varies
             head = fixed[0] + cells[J] + fixed[1] + cells[K] + fixed[2]
-            mid = fixed[3] + _cell(pair.dim_x) + fixed[4] + _cell(pair.dim_y) + fixed[5]
-            ends = {eta: mid + _cell(eta) + fixed[6] + sep for eta in (False, True)}
+            end = (fixed[3] + _cell(pair.dim_x) + fixed[4] + _cell(pair.dim_y) + fixed[5]
+                   + _cell(pair.dim_y == pair.dim_x) + fixed[6] + sep)
             parts = []
             # index-level rows: the y_components reports would cost more than the text
-            for m, eta in parabolic._component_reps(group, pair.J, pair.K):
+            for m in parabolic._component_reps(group, pair.J, pair.K):
                 label = labels.get(m)
                 if label is None:
                     label = labels[m] = quote(group.elements[m].name)
-                parts += (head, label, ends[eta])
+                parts += (head, label, end)
             parts[-1] = parts[-1].removesuffix(sep)
             yield ["".join(parts)]  # every row in one string, joined as _document joins rows
 

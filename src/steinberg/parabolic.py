@@ -12,7 +12,8 @@ it is the longest element of W_J·x·w_K
 (Björner–Brenti, *Combinatorics of Coxeter Groups*, ch. 2).  W^K is kept
 grouped by left descent mask, each member's position beside x·w_K, so
 the min reps of a pair are the groups whose mask misses J: a pair costs
-its cosets plus its groups, not a scan of W^K.
+its cosets plus its groups, not a scan of W^K.  Only the max reps are
+returned; eta is one fact per pair, set in ``varieties.y_components``.
 
 The decomposition is one pass over W in enumeration order: an element
 that is not minimal has a left descent in J or a right descent in K, and
@@ -78,21 +79,19 @@ def double_cosets(group: WeylGroup, J, K) -> list[list[int]]:
     return members
 
 
-def _component_reps(group: WeylGroup, J, K) -> list[tuple[int, bool]]:
-    """(max rep index, eta) per (W_J, W_K) double coset, in coset order.
+def _component_reps(group: WeylGroup, J, K) -> list[int]:
+    """Max rep index per (W_J, W_K) double coset, in coset order.
 
     Read off the coset tables, not the partition of ``double_cosets``: the
     min reps are the members x of W^K with no left descent in J, that is
     the groups of W^K whose descent mask misses J, merged back into
-    enumeration order; each max rep is top_J[x·w_K].  eta: the max rep is
-    minimal.  J and K are normalized subsets, checked where they entered.
+    enumeration order; each max rep is top_J[x·w_K].  J and K are
+    normalized subsets, checked where they entered.
     """
-    mask_j, mask_k = _mask(J), _mask(K)
-    top, rdesc, inv = group._left_top(mask_j), group._rdesc, group._inv
-    groups, xw = group._right_quotient(mask_k)
+    mask_j = _mask(J)
+    top, (groups, xw) = group._left_top(mask_j), group._right_quotient(_mask(K))
     mins = sorted(chain.from_iterable(ps for d, ps in groups.items() if not d & mask_j))
-    maxs = [top[xw[p]] for p in mins]
-    return [(m, not (rdesc[inv[m]] & mask_j or rdesc[m] & mask_k)) for m in maxs]
+    return [top[xw[p]] for p in mins]
 
 
 def min_double_coset_rep(w: WeylElement, J, K) -> WeylElement:
@@ -127,5 +126,5 @@ def is_minimal_in_double_coset(w: WeylElement, J, K) -> bool:
 def maximal_reps(group: WeylGroup, J, K) -> tuple[WeylElement, ...]:
     """Maximal-length representatives, one per (W_J, W_K) double coset."""
     subJ, subK = normalize_subset(group.rank, J), normalize_subset(group.rank, K)
-    return tuple(group.elements[m] for m, _ in _component_reps(group, subJ, subK))
+    return tuple(group.elements[m] for m in _component_reps(group, subJ, subK))
 

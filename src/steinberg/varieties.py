@@ -63,9 +63,9 @@ class ComponentReport(NamedTuple):
 
     ``dim_zw`` is the dimension of the component of Z above the label,
     ``dim_yw`` the dimension of its image component in Y, and
-    ``eta_dim_preserved`` records the minimality criterion: the projection
-    keeps the dimension of the Z-component labeled by w exactly when w is
-    minimal in its double coset.
+    ``eta_dim_preserved`` whether the projection keeps that dimension: it
+    does exactly when the label is minimal in its double coset, so one
+    flag holds for every component of a pair (see ``y_components``).
     """
 
     label: WeylElement
@@ -134,12 +134,9 @@ def pair_profile(roots: RootSystem, J, K) -> PairProfile:
 
 
 def steinberg_components(group: WeylGroup) -> tuple[ComponentReport, ...]:
-    """Components of Z: one per Weyl group element, each of dimension 2n."""
-    dim = 2 * group.roots.n_positive
-    return tuple(
-        ComponentReport(label=w, dim_zw=dim, dim_yw=dim, eta_dim_preserved=True)
-        for w in group.elements
-    )
+    """Components of Z, which is Y of the Borel pair J = K = ∅: one per
+    Weyl group element in enumeration order, each of dimension 2n."""
+    return y_components(group, (), ())
 
 
 def y_components(group: WeylGroup, J, K) -> tuple[ComponentReport, ...]:
@@ -147,16 +144,16 @@ def y_components(group: WeylGroup, J, K) -> tuple[ComponentReport, ...]:
 
     The labels come from ``parabolic._component_reps``, which reads the
     group's per-subset coset tables.  Each component has dimension
-    dim_flag_p + dim_flag_q = dim_y (Y is equidimensional); the flag
-    records whether the labeling element is minimal in its coset, i.e.
-    whether the projection from Z preserved the dimension of the component
-    it came from.
+    dim_flag_p + dim_flag_q = dim_y (Y is equidimensional); eta is per pair.
     """
     profile = pair_profile(group.roots, J, K)
     elements = group.elements
+    # a max rep is minimal only in a one-element coset, and W_J·w·W_K holds
+    # W_J·w and w·W_K, so that is J = K = ∅: f = 0, where dim Y = 2n - f = dim Z
+    eta = profile.dim_y == profile.dim_x
     return tuple(
         ComponentReport(elements[m], profile.dim_x, profile.dim_y, eta)
-        for m, eta in parabolic._component_reps(group, profile.J, profile.K)
+        for m in parabolic._component_reps(group, profile.J, profile.K)
     )
 
 
@@ -164,7 +161,7 @@ class PairContext:
     """The work shared by every check of one parabolic pair (J, K).
 
     The two sides of each report come from different algorithms.  ``reps``
-    holds (max rep index, eta) per (W_J, W_K) coset from
+    holds the max rep index per (W_J, W_K) coset from
     ``parabolic._component_reps``, which reads the descent and top tables:
     its length is the expected side of the three pair reports.
     ``dec_kj`` is the one-pass partition of ``double_cosets`` for
@@ -292,7 +289,7 @@ def verify_anti_invariant_isomorphism(group: WeylGroup, J, K) -> VerificationRep
     fails, the idempotent in ``absorption_fails``.
     """
     ctx = pair_context(group, J, K)
-    names = [group.word_name_of(m) for m, _ in ctx.reps]
+    names = [group.word_name_of(m) for m in ctx.reps]
     return _dimension_report(ctx, True, maximal_reps=names)
 
 

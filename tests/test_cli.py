@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as hyp
 
 from steinberg import algebra, cli, parabolic, varieties
 from steinberg.algebra import SubspaceBasis
+from steinberg.rootsys import cartan_from_name, enumerate_weyl, root_system, validate_cartan
 from steinberg.varieties import VerificationReport
 
 
@@ -104,6 +105,34 @@ def test_components_json(capsys):
         "type": "A2", "J": [0], "K": [1], "label": "s1s2",
         "dim_Zw": 6, "dim_Yw": 4, "eta_dim_preserved": False,
     }
+
+
+# A1xA2 with the A2 on indices 0 and 2, so the A1 sits between its letters
+INTERLEAVED_A1XA2 = [[2, 0, -1], [0, 2, 0], [-1, 0, 2]]
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "interleaved-A1xA2"])
+def test_components_rows_match_y_components(tmp_path, capsys, name):
+    # the CLI renders its rows from _component_reps indices without building
+    # the y_components reports; every row must still be the library's report
+    if name == "interleaved-A1xA2":
+        path = tmp_path / "cartan.json"
+        path.write_text(json.dumps({"matrix": INTERLEAVED_A1XA2}))
+        source, datum = ["--cartan", str(path)], validate_cartan(INTERLEAVED_A1XA2)
+    else:
+        source, datum = ["--type", name], cartan_from_name(name)
+    code, out, err = run(capsys, ["components", *source, "--all-pairs", "--format", "json"])
+    assert code == 0 and err == ""
+    group = enumerate_weyl(root_system(datum))
+    by_pair: dict[tuple, list] = {}
+    for row in json.loads(out)["rows"]:
+        by_pair.setdefault((tuple(row["J"]), tuple(row["K"])), []).append(row)
+    assert len(by_pair) == 4 ** group.rank
+    for (J, K), rows in by_pair.items():
+        assert [(r["label"], r["dim_Zw"], r["dim_Yw"], r["eta_dim_preserved"]) for r in rows] == [
+            (c.label.name, c.dim_zw, c.dim_yw, c.eta_dim_preserved)
+            for c in varieties.y_components(group, J, K)
+        ], (J, K)
 
 
 def test_verify_hotta_only(capsys):

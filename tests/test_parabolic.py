@@ -284,7 +284,7 @@ def test_walks_meet_the_partition_and_the_coset_tables(name, pairs):
         dec = double_cosets(g, J, K)
         reps = parabolic._component_reps(g, J, K)
         assert len(reps) == len(dec)
-        for xs, (top, _) in zip(dec, reps):
+        for xs, top in zip(dec, reps):
             assert g._walk(xs[0], mask_j, mask_k, True) == xs[-1] == top
             assert g._walk(xs[-1], mask_j, mask_k, False) == xs[0]
 

@@ -174,6 +174,22 @@ def test_y_components_match_double_cosets(name):
             assert [c.eta_dim_preserved for c in comps] == [len(xs) == 1 for xs in cosets]
 
 
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "D4"])
+def test_eta_follows_from_the_theory(name):
+    # y_components sets eta once per pair; row by row it must be the descent
+    # oracle's minimality of the label and the equality of the two dimensions
+    g = _group(name)
+    for J in orc.all_subsets(g.rank):
+        for K in orc.all_subsets(g.rank):
+            for c in y_components(g, J, K):
+                assert c.eta_dim_preserved == parabolic.is_minimal_in_double_coset(c.label, J, K)
+                assert c.eta_dim_preserved == (c.dim_yw == c.dim_zw)
+    # Z is Y of the Borel pair: every element, in enumeration order, with eta
+    comps = steinberg_components(g)
+    assert [c.label for c in comps] == list(g.elements)
+    assert all(c.eta_dim_preserved for c in comps)
+
+
 def test_verify_invariant_examples():
     g = _group("A2")
     r = verify_invariant_isomorphism(g, [0], [1])
