@@ -19,6 +19,7 @@ import sys
 from collections import Counter
 from collections.abc import Iterator
 from contextlib import nullcontext, suppress
+from functools import cache
 from itertools import chain
 
 from .errors import (
@@ -142,11 +143,12 @@ def _parse_subset(text: str | list | None, rank: int) -> tuple[int, ...]:
 
 
 def _resolve_pairs(args, rank: int):
-    """The (J, K) pairs to run, and whether verify adds the Hotta checks."""
+    """The (J, K) pairs to run, and whether verify adds the Hotta checks; a
+    sweep yields its 4^rank pairs one at a time, holding only the subsets."""
     hotta = getattr(args, "hotta", False)
     # binary-counting order: {}, {0}, {1}, {0,1}, {2}, ...
     subsets = [tuple(i for i in range(rank) if mask >> i & 1) for mask in range(1 << rank)]
-    every = [(J, K) for J in subsets for K in subsets]
+    every = ((J, K) for J in subsets for K in subsets)
     if args.all_pairs:
         return every, hotta
     if args.p is not None or args.q is not None:
@@ -245,18 +247,17 @@ def _components_doc(fmt, tag, roots, group, pairs) -> Iterator[str]:
     fixed = [_row(fmt, COMPONENT_COLUMNS, [tag, *slots])]
     for slot in slots:
         fixed[-1:] = fixed[-1].split(quote(slot))
-    # a subset's cell is the same text as J and as K: cut once per subset out
+    # a subset's cell is the same text as J and as K: cut on its first use out
     # of a one-cell row, as the placeholder is cut out of its own
     before, after = _row(fmt, ["J"], [slots[0]]).split(quote(slots[0]))
-    cells = {S: _row(fmt, ["J"], [S]).removeprefix(before).removesuffix(after)
-             for S in set(chain.from_iterable(pairs))}
+    cell = cache(lambda S: _row(fmt, ["J"], [S]).removeprefix(before).removesuffix(after))
     labels: dict[int, str] = {}  # element index -> rendered label, on first use
 
     def batches():
         for J, K in pairs:
             pair = varieties.pair_profile(roots, J, K)
             # Y is equidimensional and eta one flag per pair: only the label varies
-            head = fixed[0] + cells[J] + fixed[1] + cells[K] + fixed[2]
+            head = fixed[0] + cell(J) + fixed[1] + cell(K) + fixed[2]
             end = (fixed[3] + _cell(pair.dim_x) + fixed[4] + _cell(pair.dim_y) + fixed[5]
                    + _cell(pair.dim_y == pair.dim_x) + fixed[6] + sep)
             parts = []

@@ -15,6 +15,7 @@ coefficients, report rows) inherits that order.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -405,18 +406,16 @@ class WeylGroup:
     and ``_left``) are built at enumeration, and the other modules read
     them directly.  The full product table (groups of order at most
     ``_PRODUCT_TABLE_LIMIT``) is built on the first ``product_row`` call,
-    which only the ℚW sandwich kernel makes.  The per-subset coset tables
-    (``_left_top`` and ``_right_quotient``, keyed by the subset's bit
-    mask) are built on first use by ``parabolic._component_reps`` alone,
-    at most one per subset and side: top_J is a list over W,
-    and W^K is stored as positions grouped by left descent mask beside a
-    list of the tops x·w_K, so a filter on left descents reads groups, not
-    members.
-    Canonical-word names are rendered one at a time on first use, by
-    ``word_name_of``.  ``varieties`` keeps the rest of its per-group state
-    here, so it lives and dies with the group: ``_pair``, the context of
-    the last (J, K) checked, and ``_idempotents``, per (subset, sign) the
-    idempotent and its absorption verdict per side.
+    which only the ℚW sandwich kernel makes.  Per-subset state has one
+    store, ``_subsets``: one dict per subset bit mask, filled on first use.
+    Its ``"top"`` and ``"quotient"`` are the coset tables of ``_left_top``
+    and ``_right_quotient``, which ``parabolic._component_reps`` alone
+    reads: top_J is a list over W, and W^K is stored as positions grouped
+    by left descent mask beside a list of the tops x·w_K, so a filter on
+    left descents reads groups, not members.  Its other keys, and the
+    per-pair ``_pair``, belong to the modules that set them, so that their
+    state lives and dies with the group.  Canonical-word names are
+    rendered one at a time on first use, by ``word_name_of``.
     """
 
     __slots__ = (
@@ -432,10 +431,8 @@ class WeylGroup:
         "_left",
         "_inv",
         "_table",
-        "_tops",
-        "_quotients",
+        "_subsets",
         "_pair",
-        "_idempotents",
         "identity",
         "simple",
     )
@@ -506,10 +503,10 @@ class WeylGroup:
 
         self._named: dict[int, str] = {}
         self._table = None
-        self._tops: dict[int, list[int]] = {}
-        self._quotients: dict[int, tuple[dict[int, list[int]], list[int]]] = {}
+        # per subset mask: the expected side's coset tables ("top", "quotient") and,
+        # per sign, the computed side's idempotent and verdicts; none is built from another
+        self._subsets: defaultdict[int, dict] = defaultdict(dict)
         self._pair = None
-        self._idempotents: dict[tuple[tuple[int, ...], bool], tuple] = {}
 
         self.elements: tuple[WeylElement, ...] = tuple(
             WeylElement(self, x, words[x]) for x in range(order)
@@ -553,10 +550,10 @@ class WeylGroup:
         Filled in reverse enumeration order: for the lowest j in J that is
         not a left descent of y, s_j·y is longer, so its entry is filled.
         """
-        top = self._tops.get(mask)
+        top = self._subsets[mask].get("top")
         if top is None:
             rdesc, inv, left = self._rdesc, self._inv, self._left
-            top = self._tops[mask] = list(range(self.order))
+            top = self._subsets[mask]["top"] = list(range(self.order))
             for y in range(self.order - 1, -1, -1):
                 up = mask & ~rdesc[inv[y]]
                 if up:
@@ -571,7 +568,7 @@ class WeylGroup:
         descent mask d, and ``tops[p]`` is x_p·w_K, the top of x_p·W_K: the
         inverse of the top of W_K·x_p^-1.
         """
-        quotient = self._quotients.get(mask)
+        quotient = self._subsets[mask].get("quotient")
         if quotient is None:
             rdesc, inv, top = self._rdesc, self._inv, self._left_top(mask)
             groups: dict[int, list[int]] = {}
@@ -581,7 +578,7 @@ class WeylGroup:
                     y = inv[x]
                     groups.setdefault(rdesc[y], []).append(len(tops))
                     tops.append(inv[top[y]])
-            quotient = self._quotients[mask] = (groups, tops)
+            quotient = self._subsets[mask]["quotient"] = (groups, tops)
         return quotient
 
     def _walk(self, x: int, mask_j: int, mask_k: int, up: bool) -> int:

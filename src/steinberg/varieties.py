@@ -15,11 +15,12 @@ computed side the rank of a basis indexed by one ``double_cosets`` call
 (``dec_kj``), and ``_absorption_faults`` names which of the context's
 own idempotents fail absorption.  Only the two bases, the expensive
 part, are built on first use.  The group keeps the context of its most
-recent (J, K), so a sweep holds one pair's worth of vectors at a time,
-and per (subset, sign) the idempotent and its absorption verdicts, so a
-sweep builds each once and checks its absorption once.  All of it is
-freed with the group.  A subset is checked once, where it enters a
-public function; the helpers behind it, such as
+recent (J, K) in ``_pair``, so a sweep holds one pair's worth of vectors
+at a time.  Its per-subset store ``_subsets`` keeps, under the subset's
+mask and the sign, the idempotent and its absorption verdicts beside the
+coset tables, so a sweep builds each once and checks its absorption
+once.  All of it is freed with the group.  A subset is checked once,
+where it enters a public function; the helpers behind it, such as
 ``parabolic._component_reps``, take the normalized tuple.
 """
 
@@ -208,11 +209,11 @@ def pair_context(group: WeylGroup, J, K) -> PairContext:
 
 def _idempotent(group: WeylGroup, J: tuple[int, ...], sign: bool) -> AlgebraElement:
     """eps_J (sign) or e_J of a normalized subset, built once per group."""
-    entry = group._idempotents.get((J, sign))
-    if entry is None:
+    entry = group._subsets[parabolic._mask(J)]
+    if sign not in entry:
         make = algebra.sign_idempotent if sign else algebra.trivial_idempotent
-        entry = group._idempotents[J, sign] = (make(group, J), {})
-    return entry[0]
+        entry[sign] = (make(group, J), {})
+    return entry[sign][0]
 
 
 def _absorption_faults(ctx: PairContext, sign: bool) -> list[str]:
@@ -231,7 +232,7 @@ def _absorption_faults(ctx: PairContext, sign: bool) -> list[str]:
     e_k, e_j = (ctx.eps_k, ctx.eps_j) if sign else (ctx.e_k, ctx.e_j)
     faults = []
     for side, e, subset, table in ("K", e_k, ctx.K, group._right), ("J", e_j, ctx.J, group._left):
-        entry = group._idempotents.get((subset, sign))
+        entry = group._subsets[parabolic._mask(subset)].get(sign)
         verdicts = entry[1] if entry is not None and entry[0] is e else {}
         if side not in verdicts:  # K's verdict is its right one, J's its left one
             verdicts[side] = _absorption_holds(group, e, subset, table, twist)

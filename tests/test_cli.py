@@ -732,6 +732,37 @@ def test_components_sweep_renders_per_subset_not_per_pair(capsys, monkeypatch, f
     assert calls["row"] <= 8 + 4, calls
 
 
+def test_pair_sweep_is_yielded_from_the_subsets():
+    # a rank-12 sweep has 4^12 = 16,777,216 pairs; its first few cost the
+    # 4,096 subsets alone, not the list of every pair
+    args = cli._parser().parse_args(["table", "--type", "A1", "--all-pairs"])
+    tracemalloc.start()
+    try:
+        pairs, _ = cli._resolve_pairs(args, 12)
+        first = [next(pairs) for _ in range(5)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == [((), ()), ((), (0,)), ((), (1,)), ((), (0, 1)), ((), (2,))]
+    assert peak < 1 << 20, peak
+
+
+def test_one_pair_of_a_rank_15_input_runs_in_seconds(tmp_path):
+    # A1^15 has order 2^15, under the default cap, and 4^15 pairs in its
+    # sweep: a single pair must not list them
+    path = tmp_path / "a1x15.json"
+    path.write_text(json.dumps({"matrix": [[2 * (i == j) for j in range(15)] for i in range(15)]}))
+    child = cli_child(["table", "--cartan", str(path), "--p", "0", "--q", "1"],
+                      stdout=subprocess.PIPE)
+    try:
+        out, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+        child.wait()
+    assert child.returncode == 0 and err == b""
+    assert out.splitlines()[-1].endswith(b" | 8192 | 8192 | 8192 | true |")
+
+
 def test_empty_json_list_renders_as_json_dumps():
     envelope = {"schema": cli.SCHEMA, "command": "table", "rows": [cli._ITEMS]}
     text = "".join(cli._document("json", envelope, cli.TABLE_COLUMNS, iter(())))
@@ -899,6 +930,42 @@ def test_cli_bytes_frozen_hotta(capsys, name):
     code, out, err = run(capsys, ["verify", "--type", name, "--hotta", "--format", "json"])
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == HOTTA_SHA256[name]
+
+
+# A and its transpose have the same Coxeter matrix, so the same Weyl group
+# (Bourbaki, *Lie groups and Lie algebras*, ch. VI, §1): the rho-orbit keys
+# differ, but not the canonical words or the enumeration order, so every
+# byte agrees once the type tag is masked; no oracle is needed
+TRANSPOSE_COMMANDS = [
+    ["table", "--all-pairs", "--format", "csv"],
+    ["verify", "--format", "json"],
+    ["components", "--all-pairs", "--format", "csv"],
+    ["verify", "--hotta", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("name,transpose", [("B3", "C3"), ("G2", None), ("B4", None)])
+def test_transpose_gives_the_same_bytes_but_the_tag(tmp_path, capsys, name, transpose):
+    # a transpose that no --type names is read from a --cartan file
+    matrix = [list(column) for column in zip(*cartan_from_name(name).matrix)]
+    source = ["--type", transpose]
+    if transpose is None:
+        path = tmp_path / "transpose.json"
+        path.write_text(json.dumps({"matrix": matrix}))
+        source = ["--cartan", str(path)]
+    tag = validate_cartan(matrix).type_name
+
+    def output(argv):  # a StringIO, not capsys: B4's verify JSON is 12 MB
+        with redirect_stdout(io.StringIO()) as buf:
+            assert cli.main(argv) == 0
+        return buf.getvalue()
+
+    for command, *options in TRANSPOSE_COMMANDS:
+        out = output([command, "--type", name, *options])
+        t_out = output([command, *source, *options])
+        assert t_out.count(tag) == out.count(name) > 0
+        assert t_out.replace(tag, name) == out, (command, options)
+    assert capsys.readouterr() == ("", "")
 
 
 def test_readme_quickstart_prints_what_it_says():

@@ -153,12 +153,26 @@ def test_components_sweep_builds_one_table_per_subset_and_side():
         for J in subsets:
             for K in subsets:
                 y_components(g, J, K)
-        built = [(mask, id(t)) for side in (g._tops, g._quotients) for mask, t in side.items()]
+        built = [(mask, id(entry[side])) for mask, entry in g._subsets.items()
+                 for side in ("top", "quotient")]
         # keyed by subset mask, every subset on each side, none rebuilt on the second sweep
         assert tables in (None, built)
         tables = built
-    assert set(g._tops) == set(g._quotients) == set(range(1 << g.rank))
+    assert set(g._subsets) == set(range(1 << g.rank))
     assert g._table is None
+    # a verify sweep over (J, S \ J) reaches every subset on both sides of a pair:
+    # each subset's idempotents, per sign, join the entry that holds its tables
+    for J in subsets:
+        K = tuple(i for i in range(g.rank) if i not in J)
+        assert all(report(g, J, K).passed for report in PAIR_REPORTS)
+    assert set(g._subsets) == set(range(1 << g.rank))
+    for J in subsets:
+        entry = g._subsets[parabolic._mask(J)]
+        assert set(entry) == {"top", "quotient", False, True}
+        assert (entry[False][0], entry[True][0]) == (
+            algebra.trivial_idempotent(g, J), algebra.sign_idempotent(g, J))
+    assert [(mask, id(entry[side])) for mask, entry in g._subsets.items()
+            for side in ("top", "quotient")] == tables
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "G2", "D4", "F4", "D5"])
