@@ -120,7 +120,7 @@ def _load_group(args):
         rank = len(payload["matrix"]) if isinstance(payload["matrix"], list) else 0
     # a Weyl group of rank r has order at least 2^r, which A1^r attains, so this
     # refuses nothing the cap admits, before any work of order rank^2 or rank^3
-    if rank >= args.order_cap.bit_length():
+    if rank >= max(args.order_cap, 0).bit_length():
         raise OrderCapExceeded(f"rank {rank} gives a group order of at least 2^rank, "
                                f"above cap {args.order_cap}")
     datum = (cartan_from_name(args.type) if args.type is not None

@@ -321,31 +321,20 @@ def root_system(datum: CartanDatum) -> RootSystem:
 class _FoldedRow:
     """Row x of the product table of a group too large to tabulate.
 
-    ``row[y]`` is x*y, found by folding the shorter of the two canonical
-    words: y's over the right-multiplication table starting at x, or x's,
-    reversed, over the left-multiplication table starting at y.
+    ``row[y]`` is x*y: x's reversed canonical word folded through ``_left``
+    from y, the fold that the table below the limit holds row by row.  The
+    row keeps the ``_left`` columns of that word, in the order they apply.
     """
 
-    __slots__ = ("_x", "_x_reversed", "_right", "_left", "_words")
+    __slots__ = ("_columns",)
 
     def __init__(self, group: WeylGroup, x: int):
-        self._x = x
-        self._x_reversed = group._words[x][::-1]
-        self._right = group._right
-        self._left = group._left
-        self._words = group._words
+        self._columns = [group._left[i] for i in reversed(group._words[x])]
 
     def __getitem__(self, y: int) -> int:
-        word = self._words[y]
-        if len(word) <= len(self._x_reversed):
-            z, right = self._x, self._right
-            for i in word:
-                z = right[i][z]
-        else:
-            z, left = y, self._left
-            for i in self._x_reversed:
-                z = left[i][z]
-        return z
+        for column in self._columns:
+            y = column[y]
+        return y
 
 
 def word_name(word) -> str:
@@ -404,9 +393,9 @@ class WeylGroup:
     with its canonical word.  The length, descent, inverse and
     simple-reflection tables (``_length``, ``_rdesc``, ``_inv``, ``_right``
     and ``_left``) are built at enumeration, and the other modules read
-    them directly.  The full product table (groups of order at most
-    ``_PRODUCT_TABLE_LIMIT``) is built on the first ``product_row`` call,
-    which only the ℚW sandwich kernel makes.  Per-subset state has one
+    them directly.  A product x·y folds x's reversed word through ``_left``
+    from y; the first ``product_row`` call (the ℚW sandwich kernel's) under
+    ``_PRODUCT_TABLE_LIMIT`` tabulates that fold.  Per-subset state has one
     store, ``_subsets``: one dict per subset bit mask, filled on first use.
     Its ``"top"`` and ``"quotient"`` are the coset tables of ``_left_top``
     and ``_right_quotient``, which ``parabolic._component_reps`` alone
@@ -520,9 +509,9 @@ class WeylGroup:
         """Row x of the multiplication table: ``product_row(x)[y]`` is x*y.
 
         Up to ``_PRODUCT_TABLE_LIMIT`` this is a row of the full table,
-        built on the first call; above it, an indexable view that folds
-        a canonical word per lookup.  A convolution fetches one row per
-        left term and indexes it in its inner loop.
+        built on the first call; above it, a ``_FoldedRow``, the same fold
+        per lookup.  A convolution fetches one row per left term and indexes
+        it in its inner loop.
         """
         table = self._table
         if table is None:
@@ -620,7 +609,7 @@ class WeylGroup:
         return self.elements[x]
 
     def multiply(self, u: WeylElement, w: WeylElement) -> WeylElement:
-        """u·w: u's canonical word folded through ``_left`` from w, no table."""
+        """u·w: ``_FoldedRow``'s fold of u's word from w, inlined to build no row."""
         if u.group is not self or w.group is not self:
             raise MixedGroups("elements belong to different groups")
         z, left = w.index, self._left

@@ -311,10 +311,10 @@ def hotta_verification(group: WeylGroup, s: int) -> VerificationReport:
     set must be exactly the complement of the minimal ({s}, empty)-coset
     representatives, those without s as a left descent in the descent
     table, and every eigenspace vector v must satisfy v * delta_s = -v,
-    formed term by term through ``multiply``, which reads neither the
-    product table nor the ``_right`` column that paired the eigenspace.
-    All five checks feed ``passed``.  When a vector is not negated,
-    ``detail["first_not_negated"]`` names its first element.
+    formed term by term through ``multiply``, a fold through ``_left`` that
+    reads neither the product table nor the ``_right`` column that paired
+    the eigenspace.  All five checks feed ``passed``.  When a vector is not
+    negated, ``detail["first_not_negated"]`` names its first element.
     """
     half = group.order // 2
     eigen = algebra.right_sign_eigenspace(group, s)

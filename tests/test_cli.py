@@ -466,14 +466,19 @@ def test_cartan_file_not_utf8(tmp_path, capsys):
     _one_error_line(capsys, ["table", "--cartan", str(path)])
 
 
-@pytest.mark.parametrize("source, rank", [
-    (["--type", "A100000"], 100000),
-    (["--type", "A" + "9" * 4000], None),  # readable, but its matrix would never finish
-    (["--type", "D200"], 200),
-    (["--cartan", "diagonal.json"], 64),
-], ids=["A100000", "A4000digits", "D200", "diagonal64"])
+@pytest.mark.parametrize("source, rank, cap", [
+    (["--type", "A100000"], 100000, 51840),
+    (["--type", "A" + "9" * 4000], None, 51840),  # readable, but its matrix would never finish
+    (["--type", "D200"], 200, 51840),
+    (["--cartan", "diagonal.json"], 64, 51840),
+    # a cap of 0 or below admits no group, and a negative int has bits of its own
+    (["--type", "A1"], 1, 0),
+    (["--type", "A120"], 120, -2**130),
+    (["--cartan", "diagonal.json"], 64, -1),
+], ids=["A100000", "A4000digits", "D200", "diagonal64", "A1-cap0", "A120-cap-2^130",
+        "diagonal64-cap-1"])
 def test_rank_above_order_cap_refused_before_any_matrix_work(
-        tmp_path, capsys, monkeypatch, source, rank):
+        tmp_path, capsys, monkeypatch, source, rank, cap):
     from steinberg import rootsys
 
     def forbidden(*args, **kwargs):
@@ -486,10 +491,10 @@ def test_rank_above_order_cap_refused_before_any_matrix_work(
         path.write_text(json.dumps({"matrix": [
             [2 if i == j else 0 for j in range(rank)] for i in range(rank)]}))
         source = ["--cartan", str(path)]
-    err = _one_error_line(capsys, ["table", *source])
+    err = _one_error_line(capsys, ["table", *source, f"--order-cap={cap}"])
     if rank is not None:
         assert err == (f"error: rank {rank} gives a group order of at least 2^rank, "
-                       "above cap 51840\n")
+                       f"above cap {cap}\n")
 
 
 def test_rank_bound_admits_what_the_cap_admits(tmp_path, capsys):

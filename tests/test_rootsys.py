@@ -361,12 +361,17 @@ def test_product_table_built_on_first_product():
         assert g.product_row(x)[y] == orc.perm_mul(g, x, y, index_map)
 
 
-@pytest.mark.parametrize("name", ["B3", "A6"])
-def test_product_row_matches_multiply_and_oracle(name):
+@pytest.mark.parametrize("name, wrong_right", [("B3", False), ("A6", False), ("A6", True)],
+                         ids=["B3", "A6", "A6-wrong-right"])
+def test_product_row_matches_multiply_and_oracle(name, wrong_right):
     g = _group(name)
     # B3 reads rows of the full table; A6 is over the limit and folds words
     assert (g.order > _PRODUCT_TABLE_LIMIT) == (name == "A6")
     index_map = orc.perm_index_map(g)
+    if wrong_right:
+        # the folds read x's word through _left alone, so no product moves when
+        # each column of _right is swapped for another letter's, wrong everywhere
+        g._right[:] = [g._right[(s + 1) % g.rank] for s in range(g.rank)]
     rng = random.Random(29)
     xs = rng.sample(range(g.order), 20)
     ys = rng.sample(range(g.order), 20)
