@@ -467,10 +467,10 @@ def test_cartan_file_not_utf8(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("source, rank, cap", [
-    (["--type", "A100000"], 100000, 51840),
-    (["--type", "A" + "9" * 4000], None, 51840),  # readable, but its matrix would never finish
-    (["--type", "D200"], 200, 51840),
-    (["--cartan", "diagonal.json"], 64, 51840),
+    (["--type", "A100000"], 100000, None),  # no flag: the default cap, 51840
+    (["--type", "A" + "9" * 4000], None, None),  # readable, but its matrix would never finish
+    (["--type", "D200"], 200, None),
+    (["--cartan", "diagonal.json"], 64, None),
     # a cap of 0 or below admits no group, and a negative int has bits of its own
     (["--type", "A1"], 1, 0),
     (["--type", "A120"], 120, -2**130),
@@ -491,10 +491,11 @@ def test_rank_above_order_cap_refused_before_any_matrix_work(
         path.write_text(json.dumps({"matrix": [
             [2 if i == j else 0 for j in range(rank)] for i in range(rank)]}))
         source = ["--cartan", str(path)]
-    err = _one_error_line(capsys, ["table", *source, f"--order-cap={cap}"])
+    flag = [] if cap is None else [f"--order-cap={cap}"]
+    err = _one_error_line(capsys, ["table", *source, *flag])
     if rank is not None:
         assert err == (f"error: rank {rank} gives a group order of at least 2^rank, "
-                       f"above cap {cap}\n")
+                       f"above cap {51840 if cap is None else cap}\n")
 
 
 def test_rank_bound_admits_what_the_cap_admits(tmp_path, capsys):
