@@ -251,7 +251,7 @@ def _components_doc(fmt, tag, roots, group, pairs) -> Iterator[str]:
     # of a one-cell row, as the placeholder is cut out of its own
     before, after = _row(fmt, ["J"], [slots[0]]).split(quote(slots[0]))
     cell = cache(lambda S: _row(fmt, ["J"], [S]).removeprefix(before).removesuffix(after))
-    labels: dict[int, str] = {}  # element index -> rendered label, on first use
+    label = cache(lambda m: quote(group.elements[m].name))  # element index -> label cell
 
     def batches():
         for J, K in pairs:
@@ -259,16 +259,11 @@ def _components_doc(fmt, tag, roots, group, pairs) -> Iterator[str]:
             # Y is equidimensional and eta one flag per pair: only the label varies
             head = fixed[0] + cell(J) + fixed[1] + cell(K) + fixed[2]
             end = (fixed[3] + _cell(pair.dim_x) + fixed[4] + _cell(pair.dim_y) + fixed[5]
-                   + _cell(pair.dim_y == pair.dim_x) + fixed[6] + sep)
-            parts = []
-            # index-level rows: the y_components reports would cost more than the text
-            for m in parabolic._component_reps(group, pair.J, pair.K):
-                label = labels.get(m)
-                if label is None:
-                    label = labels[m] = quote(group.elements[m].name)
-                parts += (head, label, end)
-            parts[-1] = parts[-1].removesuffix(sep)
-            yield ["".join(parts)]  # every row in one string, joined as _document joins rows
+                   + _cell(pair.dim_y == pair.dim_x) + fixed[6])
+            # index-level rows (y_components reports cost more than the text) in one
+            # string, as _document joins rows: the labels joined by the text between rows
+            reps = parabolic._component_reps(group, pair.J, pair.K)
+            yield [head + (end + sep + head).join(map(label, reps)) + end]
 
     envelope = {"schema": SCHEMA, "command": "components", "rows": [_ITEMS]}
     return _document(fmt, envelope, COMPONENT_COLUMNS, batches())

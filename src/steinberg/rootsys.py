@@ -623,13 +623,16 @@ class WeylGroup:
         return self.elements[self._inv[w.index]]
 
     def is_right_descent(self, s: int, w: WeylElement) -> bool:
-        return bool(self._rdesc[w.index] >> s & 1)
+        """Whether w·s < w; raises InvalidSubset for a bad letter, MixedGroups for a foreign w."""
+        return normalize_subset(self.rank, (s,))[0] in self.right_descents(w)
 
     def is_left_descent(self, s: int, w: WeylElement) -> bool:
-        return bool(self._rdesc[self._inv[w.index]] >> s & 1)
+        """Whether s·w < w; raises InvalidSubset for a bad letter, MixedGroups for a foreign w."""
+        return self.is_right_descent(s, self.invert(w))
 
     def right_descents(self, w: WeylElement) -> tuple[int, ...]:
-        mask = self._rdesc[w.index]
+        """The letters s with w·s < w, ascending; raises MixedGroups for a foreign w."""
+        mask = self._rdesc[self._inv[self.invert(w).index]]  # the left descents of w^-1
         return tuple(i for i in range(self.rank) if mask >> i & 1)
 
     def longest_element(self, J=None) -> WeylElement:

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -971,6 +972,44 @@ def test_transpose_gives_the_same_bytes_but_the_tag(tmp_path, capsys, name, tran
         t_out = output([command, *source, *options])
         assert t_out.count(tag) == out.count(name) > 0
         assert t_out.replace(tag, name) == out, (command, options)
+    assert capsys.readouterr() == ("", "")
+
+
+# relabelling the simple roots (A -> P A P^T: root i of the new matrix is
+# root p[i] of A) changes every canonical word, table and coset order, but no
+# count: pair (J, K) of the new matrix is pair (p(J), p(K)) of A, with the
+# same label lengths, dimensions and eta
+@pytest.mark.parametrize("name", ["B3", "D4", "G2"])
+def test_relabelling_keeps_each_pairs_components(tmp_path, capsys, name):
+    matrix = cartan_from_name(name).matrix
+    rank = len(matrix)
+    rng = random.Random(name)
+
+    def components(source):
+        with redirect_stdout(io.StringIO()) as buf:
+            assert cli.main(["components", *source, "--all-pairs", "--format", "csv"]) == 0
+        rows = _csv_rows(buf.getvalue())
+        pairs = {}
+        for row in rows:
+            J, K = (() if row[S] == "-" else tuple(map(int, row[S].split(","))) for S in "JK")
+            pairs.setdefault((J, K), Counter())[
+                row["label"].count("s"), row["dim_Zw"], row["dim_Yw"], row["eta_dim_preserved"]
+            ] += 1
+        assert {row["type"] for row in rows} == {name}
+        return pairs
+
+    original = components(["--type", name])
+    for _ in range(2):
+        p = list(range(rank))
+        while p == sorted(p):  # G2 has only the swap
+            rng.shuffle(p)
+        path = tmp_path / "relabelled.json"
+        path.write_text(json.dumps({"matrix": [[matrix[i][j] for j in p] for i in p]}))
+        relabelled = components(["--cartan", str(path)])
+        assert len(relabelled) == 4 ** rank
+        for (J, K), rows in relabelled.items():
+            image = tuple(sorted(p[i] for i in J)), tuple(sorted(p[k] for k in K))
+            assert rows == original[image], (p, J, K)
     assert capsys.readouterr() == ("", "")
 
 

@@ -428,6 +428,29 @@ def test_descents_against_length_change():
                 s for s in range(g.rank) if g.is_right_descent(s, w))
 
 
+# an element of a smaller group would otherwise read a wrong row of the
+# descent table, one of a larger group a row that is not there
+@pytest.mark.parametrize("name, source, s, error", [
+    ("B3", "A2", 0, MixedGroups),  # a smaller group
+    ("A2", "A3", 0, MixedGroups),  # a larger group
+    ("A2", "A2", 0, MixedGroups),  # another enumeration of the same type
+    ("A2", None, -1, InvalidSubset),
+    ("A2", None, 2, InvalidSubset),
+    ("A2", None, 5, InvalidSubset),
+    ("A2", None, True, InvalidSubset),
+    ("A2", None, "0", InvalidSubset),
+])
+def test_descent_queries_refuse_foreign_elements_and_letters(name, source, s, error):
+    g = _group(name)
+    w = (g if source is None else _group(source)).longest_element()
+    queries = [g.is_right_descent, g.is_left_descent]
+    if error is MixedGroups:
+        queries.append(lambda s, w: g.right_descents(w))
+    for query in queries:
+        with pytest.raises(error):
+            query(s, w)
+
+
 def test_longest_element_lengths():
     for name, count in ROOT_COUNTS.items():
         g = _group(name)
