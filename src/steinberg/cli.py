@@ -150,6 +150,8 @@ def _resolve_pairs(args, rank: int):
     subsets = [tuple(i for i in range(rank) if mask >> i & 1) for mask in range(1 << rank)]
     every = ((J, K) for J in subsets for K in subsets)
     if args.all_pairs:
+        if args.p is not None or args.q is not None:
+            raise ParseError("--all-pairs cannot be combined with --p or --q")
         return every, hotta
     if args.p is not None or args.q is not None:
         return [(_parse_subset(args.p, rank), _parse_subset(args.q, rank))], hotta
@@ -334,14 +336,13 @@ def main(argv=None) -> int:
             OrderCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_SUBSET if isinstance(exc, InvalidSubset) else EXIT_PARSE_ERROR
-    tag = datum.type_name or "custom"
     tally = Counter(passed=0, failed=0)  # verify reports or table rows written
     if args.command == "table":
-        doc = _table_doc(args.format, tag, roots, group, pairs, tally)
+        doc = _table_doc(args.format, datum.type_name, roots, group, pairs, tally)
     elif args.command == "components":
-        doc = _components_doc(args.format, tag, roots, group, pairs)
+        doc = _components_doc(args.format, datum.type_name, roots, group, pairs)
     else:
-        doc = _verify_doc(args.format, tag, group, pairs, hotta, tally)
+        doc = _verify_doc(args.format, datum.type_name, group, pairs, hotta, tally)
     error = _stream(doc, args.out)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)

@@ -39,13 +39,15 @@ _PRODUCT_TABLE_LIMIT = 2500
 class CartanDatum(NamedTuple):
     """A validated Cartan matrix with display labels for the simple roots.
 
-    ``type_name`` is the classification tag named by ``_classify`` from the
-    root closure, components joined with ``x`` (e.g. ``"A1xB3"``).
+    ``type_name`` is ``_classify``'s tag, components joined with ``x`` (e.g.
+    ``"A1xB3"``), read from ``closure``: the positive roots' coordinate
+    tuples in ``_closure``'s order, which ``RootSystem`` reads, not reruns.
     """
 
     matrix: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
-    type_name: str | None = None
+    type_name: str
+    closure: tuple[tuple[int, ...], ...]
 
     @property
     def rank(self) -> int:
@@ -69,7 +71,7 @@ class Root(NamedTuple):
         return f"Root({self.coords})"
 
 
-def _closure(matrix: tuple[tuple[int, ...], ...], cap: int) -> list[tuple[int, ...]]:
+def _closure(matrix: tuple[tuple[int, ...], ...], cap: int) -> tuple[tuple[int, ...], ...]:
     """All positive roots by reflection closure of the simple roots.
 
     Applying a simple reflection to a positive root changes one coordinate;
@@ -100,15 +102,14 @@ def _closure(matrix: tuple[tuple[int, ...], ...], cap: int) -> list[tuple[int, .
                 f"finite type, or its root system is larger than the cap"
             )
         frontier = fresh
-    return sorted(seen, key=lambda v: (sum(v), tuple(-c for c in v)))
+    return tuple(sorted(seen, key=lambda v: (sum(v), tuple(-c for c in v))))
 
 
 def validate_cartan(matrix, labels=None) -> CartanDatum:
     """Check the generalized Cartan conditions and finite type.
 
     Returns a :class:`CartanDatum` whose ``type_name`` is the standard
-    classification tag (components joined with ``x``), or ``None`` if the
-    matrix matches no standard diagram.
+    classification tag (components joined with ``x``).
     """
     if not isinstance(matrix, (list, tuple)) or not all(
         isinstance(row, (list, tuple)) for row in matrix
@@ -150,7 +151,7 @@ def validate_cartan(matrix, labels=None) -> CartanDatum:
             raise NotGeneralizedCartan(
                 f"{len(labels)} labels given for a rank {rank} matrix"
             )
-    return CartanDatum(matrix=mat, labels=labels, type_name=_classify(mat, roots))
+    return CartanDatum(mat, labels, _classify(mat, roots), roots)
 
 
 _NAME_RE = re.compile(r"^([A-G])([0-9]+)$")
@@ -225,41 +226,29 @@ def cartan_from_name(name: str) -> CartanDatum:
     return validate_cartan(matrix)
 
 
-def _components(matrix) -> list[list[int]]:
-    rank = len(matrix)
-    seen = [False] * rank
-    comps = []
-    for start in range(rank):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            for j in range(rank):
-                if not seen[j] and matrix[i][j] != 0:
-                    seen[j] = True
-                    comp.append(j)
-                    queue.append(j)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _classify(matrix, roots) -> str | None:
+def _classify(matrix, roots) -> str:
     """Classification tag of a finite type matrix from its positive roots.
 
-    Each component is named by its rank n, its number of positive roots and
-    its largest bond a_ij·a_ji (Cartan–Killing; Kac, *Infinite-dimensional
-    Lie algebras*, §4.8): bond 3 is G2; bond 2 is F4 with 24 roots, else
-    B_n when the -2 lies in the row of an end node, else C_n (so C2 reads
-    as B2); bond 1 or none is A_n with n(n+1)/2 roots, D_n with n(n-1)
-    roots for n >= 4 (so D3 reads as A3), or E6/E7/E8 with 36/63/120.
+    The Dynkin components are the maximal root supports, taken largest
+    first when they meet none taken before: every root's support is
+    connected, and a component's highest root has all of it as support.
+    Each is named by its rank n, its number of positive roots and its
+    largest bond a_ij·a_ji (Cartan–Killing; Kac, *Infinite-dimensional Lie
+    algebras*, §4.8): bond 3 is G2; bond 2 is F4 with 24 roots, else B_n
+    when the -2 lies in the row of an end node, else C_n (so C2 reads as
+    B2); bond 1 or none is A_n with n(n+1)/2 roots, D_n with n(n-1) roots
+    for n >= 4 (so D3 reads as A3), else E6, E7 or E8, since the closure
+    ends under its cap only in finite type (Kac, ch. 4).
     """
-    tags = []
-    for comp in _components(matrix):
+    supports = [sum(1 << i for i, c in enumerate(beta) if c) for beta in roots]
+    tags, taken = [], 0
+    for mask in sorted(set(supports), key=int.bit_count, reverse=True):
+        if mask & taken:
+            continue
+        taken |= mask
+        comp = [i for i in range(len(matrix)) if mask >> i & 1]
         n = len(comp)
-        count = sum(1 for beta in roots if any(beta[i] for i in comp))
+        count = sum(1 for support in supports if support & mask)
         bond = max((matrix[i][j] * matrix[j][i] for i in comp for j in comp if i != j),
                    default=0)
         if bond == 3:
@@ -273,10 +262,8 @@ def _classify(matrix, roots) -> str | None:
             tag = f"A{n}"
         elif n >= 4 and count == n * (n - 1):
             tag = f"D{n}"
-        elif (n, count) in ((6, 36), (7, 63), (8, 120)):
-            tag = f"E{n}"
         else:
-            return None
+            tag = f"E{n}"
         tags.append(tag)
     tags.sort(key=lambda t: (t[0], int(t[1:])))
     return "x".join(tags)
@@ -296,7 +283,7 @@ class RootSystem:
 
     def __init__(self, datum: CartanDatum):
         self.datum = datum
-        coords = _closure(datum.matrix, DEFAULT_ROOT_CAP)
+        coords = datum.closure
         self.positive: tuple[Root, ...] = tuple(Root(c) for c in coords)
         self._supports = tuple(sum(1 << i for i, c in enumerate(b) if c) for b in coords)
         self._lengths: dict[int, int] = {}
@@ -310,8 +297,7 @@ class RootSystem:
         return len(self.positive)
 
     def __repr__(self) -> str:
-        tag = self.datum.type_name or "?"
-        return f"RootSystem({tag}, {self.n_positive} positive roots)"
+        return f"RootSystem({self.datum.type_name}, {self.n_positive} positive roots)"
 
 
 def root_system(datum: CartanDatum) -> RootSystem:
@@ -668,8 +654,7 @@ class WeylGroup:
         return iter(self.elements)
 
     def __repr__(self) -> str:
-        tag = self.roots.datum.type_name or "?"
-        return f"WeylGroup({tag}, order {self.order})"
+        return f"WeylGroup({self.roots.datum.type_name}, order {self.order})"
 
 
 def enumerate_weyl(roots: RootSystem, order_cap: int = DEFAULT_ORDER_CAP) -> WeylGroup:

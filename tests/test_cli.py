@@ -5,6 +5,7 @@ import errno
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -200,6 +201,11 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
 def _csv_rows(out):
     return list(csv.DictReader(io.StringIO(out)))
+
+
+def _csv_pair(row):
+    """The (J, K) of a csv row, as tuples of 0-based indices."""
+    return tuple(() if row[S] == "-" else tuple(map(int, row[S].split(","))) for S in "JK")
 
 
 def _delta_e_where_nonempty(side):
@@ -558,6 +564,10 @@ def test_out_file_unwritable(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("selection,expected", [
     (["--type", "A2", "--p", "9"], 3),
     (["--type", "Z9"], 2),
+    # a sweep runs every pair, so a pair selection beside it is refused, valid or not
+    (["--type", "A2", "--all-pairs", "--p", "0"], 2),
+    (["--type", "A2", "--all-pairs", "--q", "1"], 2),
+    (["--type", "A2", "--all-pairs", "--p", "9", "--q", "x"], 2),
 ])
 def test_bad_input_leaves_out_file_untouched(tmp_path, capsys, command, selection, expected):
     target = tmp_path / "report.md"
@@ -991,8 +1001,7 @@ def test_relabelling_keeps_each_pairs_components(tmp_path, capsys, name):
         rows = _csv_rows(buf.getvalue())
         pairs = {}
         for row in rows:
-            J, K = (() if row[S] == "-" else tuple(map(int, row[S].split(","))) for S in "JK")
-            pairs.setdefault((J, K), Counter())[
+            pairs.setdefault(_csv_pair(row), Counter())[
                 row["label"].count("s"), row["dim_Zw"], row["dim_Yw"], row["eta_dim_preserved"]
             ] += 1
         assert {row["type"] for row in rows} == {name}
@@ -1010,6 +1019,45 @@ def test_relabelling_keeps_each_pairs_components(tmp_path, capsys, name):
         for (J, K), rows in relabelled.items():
             image = tuple(sorted(p[i] for i in J)), tuple(sorted(p[k] for k in K))
             assert rows == original[image], (p, J, K)
+    assert capsys.readouterr() == ("", "")
+
+
+# a block sum with interleaved indices, A1 on {1} and B3 on (0, 2, 3), or A2
+# on (0, 2) and G2 on (1, 3): W is the product of the factors' groups and
+# each W_J the product of their parabolics, so a pair's coset count and both
+# dimensions multiply over the factors, at the pair restricted to each, and
+# its n, l, d, f, dimX and dimY add
+REDUCIBLE = {
+    "A1xB3": ([[2, 0, -1, 0], [0, 2, 0, 0], [-1, 0, 2, -1], [0, 0, -2, 2]],
+              [("A1", (1,)), ("B3", (0, 2, 3))]),
+    "A2xG2": ([[2, 0, -1, 0], [0, 2, 0, -1], [-1, 0, 2, 0], [0, -3, 0, 2]],
+              [("A2", (0, 2)), ("G2", (1, 3))]),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(REDUCIBLE))
+def test_reducible_table_rows_come_from_the_factor_rows(tmp_path, capsys, tag):
+    matrix, factors = REDUCIBLE[tag]
+
+    def table(source):
+        with redirect_stdout(io.StringIO()) as buf:
+            assert cli.main(["table", *source, "--all-pairs", "--format", "csv"]) == 0
+        return {_csv_pair(row): row for row in _csv_rows(buf.getvalue())}
+
+    path = tmp_path / "reducible.json"
+    path.write_text(json.dumps({"matrix": matrix}))
+    rows = table(["--cartan", str(path)])
+    parts = [(table(["--type", name]), index) for name, index in factors]
+    assert len(rows) == 4 ** len(matrix)
+    for (J, K), row in rows.items():
+        assert row["type"] == tag and row["passed"] == "true"
+        restricted = [part[tuple(index.index(j) for j in J if j in index),
+                           tuple(index.index(k) for k in K if k in index)]
+                      for part, index in parts]
+        for column in ("cosets", "inv_dim", "anti_dim"):
+            assert int(row[column]) == math.prod(int(r[column]) for r in restricted), (J, K)
+        for column in ("n", "l", "d", "f", "dimX", "dimY"):
+            assert int(row[column]) == sum(int(r[column]) for r in restricted), (J, K)
     assert capsys.readouterr() == ("", "")
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import random
 import time
@@ -55,6 +56,9 @@ def test_classification_permuted_and_products():
     assert validate_cartan([[2, 0], [0, 2]]).type_name == "A1xA1"
     # D3 relabels to A3
     assert validate_cartan(standard_cartan("D", 3)).type_name == "A3"
+    # components are ordered by letter, then by rank as a number
+    total = _block_sum(standard_cartan("A", 10), standard_cartan("A", 2))
+    assert validate_cartan(total).type_name == "A2xA10"
 
 
 def _relabel(matrix, perm):
@@ -95,12 +99,44 @@ def test_classification_permuted_standard_types_up_to_rank_8():
             perm = list(range(len(matrix)))
             rng.shuffle(perm)
             assert validate_cartan(_relabel(matrix, perm)).type_name == tag
-        other, other_tag = rng.choice(STANDARD_UP_TO_8)
-        total = _block_sum(matrix, _standard(other))
+        # three components: equal ranks are where several disjoint maximal
+        # supports of one size must all be kept
+        others = [rng.choice(STANDARD_UP_TO_8) for _ in range(2)]
+        total = matrix
+        for other, _ in others:
+            total = _block_sum(total, _standard(other))
         perm = list(range(len(total)))
         rng.shuffle(perm)
-        expected = "x".join(sorted([tag, other_tag], key=_tag_key))
+        expected = "x".join(sorted([tag, *(t for _, t in others)], key=_tag_key))
         assert validate_cartan(_relabel(total, perm)).type_name == expected
+
+
+# every bond a_ij·a_ji of a finite type is at most 3 (Kac §4.8), so these
+# off-diagonal pairs (a_ij, a_ji) give every finite type matrix of rank <= 3
+BONDS = [(0, 0), (-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -1)]
+
+
+def test_every_admitted_matrix_up_to_rank_3_gets_a_standard_tag():
+    # the root closure ends under its cap only in finite type, so a matrix is
+    # either refused or named by standard components that add up to it
+    tried = admitted = 0
+    for rank in (1, 2, 3):
+        cells = list(itertools.combinations(range(rank), 2))
+        for bonds in itertools.product(BONDS, repeat=len(cells)):
+            matrix = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
+            for (i, j), (a, b) in zip(cells, bonds):
+                matrix[i][j], matrix[j][i] = a, b
+            tried += 1
+            try:
+                datum = validate_cartan(matrix)
+            except NotFiniteType:
+                continue
+            admitted += 1
+            parts = [cartan_from_name(part) for part in datum.type_name.split("x")]
+            assert sum(part.rank for part in parts) == rank, matrix
+            assert (sum(root_system(part).n_positive for part in parts)
+                    == root_system(datum).n_positive), matrix
+    assert (tried, admitted) == (223, 38)
 
 
 @pytest.mark.parametrize("name", ["A12", "B10", "D10"])
@@ -172,6 +208,19 @@ def test_bond_above_3_refused_before_the_root_closure(
     assert cli.main(["table", "--cartan", str(path)]) == 2
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_root_system_reads_the_closure_of_its_datum(monkeypatch):
+    from steinberg import rootsys
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("root closure ran again after validate_cartan")
+
+    datum = cartan_from_name("E6")
+    monkeypatch.setattr(rootsys, "_closure", forbidden)
+    roots = root_system(datum)
+    assert roots.n_positive == 36
+    assert tuple(root.coords for root in roots.positive) == datum.closure
 
 
 @pytest.mark.parametrize("matrix", [
