@@ -125,9 +125,8 @@ def _load_group(args):
                                f"above cap {args.order_cap}")
     datum = (cartan_from_name(args.type) if args.type is not None
              else validate_cartan(payload["matrix"], payload.get("labels")))
-    roots = root_system(datum)
-    group = enumerate_weyl(roots, order_cap=args.order_cap)
-    return datum, roots, group
+    pairs, hotta = _resolve_pairs(args, datum.rank)  # the pair flags, before enumeration
+    return enumerate_weyl(root_system(datum), order_cap=args.order_cap), pairs, hotta
 
 
 def _parse_subset(text: str | list | None, rank: int) -> tuple[int, ...]:
@@ -215,9 +214,10 @@ def _document(fmt, envelope, columns, batches) -> Iterator[str]:
     yield ("\n  " if lead == ",\n" else "") + closing + "\n"
 
 
-def _table_doc(fmt, tag, roots, group, pairs, tally: Counter) -> Iterator[str]:
+def _table_doc(fmt, group, pairs, tally: Counter) -> Iterator[str]:
     """The table document; ``passed`` is the verdict of the invariant and
     anti-invariant reports, and ``tally`` counts the rows written."""
+    roots, tag = group.roots, group.roots.datum.type_name
     profile = varieties.geometry_profile(roots)
 
     def batches():
@@ -237,7 +237,8 @@ def _table_doc(fmt, tag, roots, group, pairs, tally: Counter) -> Iterator[str]:
     return _document(fmt, envelope, TABLE_COLUMNS, batches())
 
 
-def _components_doc(fmt, tag, roots, group, pairs) -> Iterator[str]:
+def _components_doc(fmt, group, pairs) -> Iterator[str]:
+    roots, tag = group.roots, group.roots.datum.type_name
     sep = ",\n" if fmt == "json" else "\n"
     quote = json.dumps if fmt == "json" else str
     # every cell but the type varies, so the row is rendered once per document
@@ -271,9 +272,10 @@ def _components_doc(fmt, tag, roots, group, pairs) -> Iterator[str]:
     return _document(fmt, envelope, COMPONENT_COLUMNS, batches())
 
 
-def _verify_doc(fmt, tag, group, pairs, hotta, tally: Counter) -> Iterator[str]:
+def _verify_doc(fmt, group, pairs, hotta, tally: Counter) -> Iterator[str]:
     """The verify document; ``tally`` counts the reports written, passed
     before failed, and is the JSON summary."""
+    tag = group.roots.datum.type_name
 
     def render(r):
         if fmt == "json":
@@ -330,19 +332,18 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     # every input is checked before --out is opened and before the first byte
     try:
-        datum, roots, group = _load_group(args)
-        pairs, hotta = _resolve_pairs(args, group.rank)
+        group, pairs, hotta = _load_group(args)
     except (InvalidSubset, ParseError, NotGeneralizedCartan, NotFiniteType,
             OrderCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_SUBSET if isinstance(exc, InvalidSubset) else EXIT_PARSE_ERROR
     tally = Counter(passed=0, failed=0)  # verify reports or table rows written
     if args.command == "table":
-        doc = _table_doc(args.format, datum.type_name, roots, group, pairs, tally)
+        doc = _table_doc(args.format, group, pairs, tally)
     elif args.command == "components":
-        doc = _components_doc(args.format, datum.type_name, roots, group, pairs)
+        doc = _components_doc(args.format, group, pairs)
     else:
-        doc = _verify_doc(args.format, datum.type_name, group, pairs, hotta, tally)
+        doc = _verify_doc(args.format, group, pairs, hotta, tally)
     error = _stream(doc, args.out)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)

@@ -4,9 +4,9 @@ For simple subsets J and K, each (W_J, W_K) double coset contains a unique
 element of minimal length (no left descents in J, no right descents in K)
 and a unique element of maximal length (all of them are descents); one
 walk from any member (``WeylGroup._walk``) reaches either.  The reps of a
-whole pair (``_component_reps``, ``maximal_reps``) are read from the
-group's per-subset coset tables instead (``_left_top`` and
-``_right_quotient``, built on first use): the max over a minimal x is
+whole pair (``_component_reps``, ``maximal_reps``) are read from
+per-subset coset tables instead (``_left_top`` and ``_right_quotient``,
+kept in the group's ``_subsets`` on first use): the max over a minimal x is
 top_J[x·w_K] = (w_J·w_I)·x·w_K with lengths adding, I = J ∩ xKx^-1, so
 it is the longest element of W_J·x·w_K
 (Björner–Brenti, *Combinatorics of Coxeter Groups*, ch. 2).  W^K is kept
@@ -89,9 +89,48 @@ def _component_reps(group: WeylGroup, J, K) -> list[int]:
     normalized subsets, checked where they entered.
     """
     mask_j = _mask(J)
-    top, (groups, xw) = group._left_top(mask_j), group._right_quotient(_mask(K))
+    top, (groups, xw) = _left_top(group, mask_j), _right_quotient(group, _mask(K))
     mins = sorted(chain.from_iterable(ps for d, ps in groups.items() if not d & mask_j))
     return [top[xw[p]] for p in mins]
+
+
+def _left_top(group: WeylGroup, mask: int) -> list[int]:
+    """``top[y]`` is the longest element of W_J·y, J as a bit mask.
+
+    Filled in reverse enumeration order: for the lowest j in J that is
+    not a left descent of y, s_j·y is longer, so its entry is filled.
+    """
+    top = group._subsets[mask].get("top")
+    if top is None:
+        rdesc, inv, left = group._rdesc, group._inv, group._left
+        top = group._subsets[mask]["top"] = list(range(group.order))
+        for y in range(group.order - 1, -1, -1):
+            up = mask & ~rdesc[inv[y]]
+            if up:
+                top[y] = top[left[(up & -up).bit_length() - 1][y]]
+    return top
+
+
+def _right_quotient(group: WeylGroup, mask: int) -> tuple[dict[int, list[int]], list[int]]:
+    """W^K grouped by left descents, K as a bit mask: ``(groups, tops)``.
+
+    With x_0, x_1, ... the members of W^K in enumeration order,
+    ``groups[d]`` holds the ascending positions p whose x_p has left
+    descent mask d, and ``tops[p]`` is x_p·w_K, the top of x_p·W_K: the
+    inverse of the top of W_K·x_p^-1.
+    """
+    quotient = group._subsets[mask].get("quotient")
+    if quotient is None:
+        rdesc, inv, top = group._rdesc, group._inv, _left_top(group, mask)
+        groups: dict[int, list[int]] = {}
+        tops: list[int] = []
+        for x in range(group.order):
+            if not rdesc[x] & mask:
+                y = inv[x]
+                groups.setdefault(rdesc[y], []).append(len(tops))
+                tops.append(inv[top[y]])
+        quotient = group._subsets[mask]["quotient"] = (groups, tops)
+    return quotient
 
 
 def min_double_coset_rep(w: WeylElement, J, K) -> WeylElement:

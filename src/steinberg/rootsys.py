@@ -382,15 +382,10 @@ class WeylGroup:
     them directly.  A product x·y folds x's reversed word through ``_left``
     from y; the first ``product_row`` call (the ℚW sandwich kernel's) under
     ``_PRODUCT_TABLE_LIMIT`` tabulates that fold.  Per-subset state has one
-    store, ``_subsets``: one dict per subset bit mask, filled on first use.
-    Its ``"top"`` and ``"quotient"`` are the coset tables of ``_left_top``
-    and ``_right_quotient``, which ``parabolic._component_reps`` alone
-    reads: top_J is a list over W, and W^K is stored as positions grouped
-    by left descent mask beside a list of the tops x·w_K, so a filter on
-    left descents reads groups, not members.  Its other keys, and the
-    per-pair ``_pair``, belong to the modules that set them, so that their
-    state lives and dies with the group.  Canonical-word names are
-    rendered one at a time on first use, by ``word_name_of``.
+    store, ``_subsets``: one dict per subset bit mask.  Its keys, and the
+    per-pair ``_pair``, are filled on first use by the modules that read
+    them, so that their state lives and dies with the group.  Canonical-word
+    names are rendered one at a time on first use, by ``word_name_of``.
     """
 
     __slots__ = (
@@ -478,8 +473,7 @@ class WeylGroup:
 
         self._named: dict[int, str] = {}
         self._table = None
-        # per subset mask: the expected side's coset tables ("top", "quotient") and,
-        # per sign, the computed side's idempotent and verdicts; none is built from another
+        # per subset mask: each module's own entries, none built from another's
         self._subsets: defaultdict[int, dict] = defaultdict(dict)
         self._pair = None
 
@@ -518,43 +512,6 @@ class WeylGroup:
             i = words[x][-1]
             table.append(through[i](table[right[i][x]]))
         return table
-
-    def _left_top(self, mask: int) -> list[int]:
-        """``top[y]`` is the longest element of W_J·y, J as a bit mask.
-
-        Filled in reverse enumeration order: for the lowest j in J that is
-        not a left descent of y, s_j·y is longer, so its entry is filled.
-        """
-        top = self._subsets[mask].get("top")
-        if top is None:
-            rdesc, inv, left = self._rdesc, self._inv, self._left
-            top = self._subsets[mask]["top"] = list(range(self.order))
-            for y in range(self.order - 1, -1, -1):
-                up = mask & ~rdesc[inv[y]]
-                if up:
-                    top[y] = top[left[(up & -up).bit_length() - 1][y]]
-        return top
-
-    def _right_quotient(self, mask: int) -> tuple[dict[int, list[int]], list[int]]:
-        """W^K grouped by left descents, K as a bit mask: ``(groups, tops)``.
-
-        With x_0, x_1, ... the members of W^K in enumeration order,
-        ``groups[d]`` holds the ascending positions p whose x_p has left
-        descent mask d, and ``tops[p]`` is x_p·w_K, the top of x_p·W_K: the
-        inverse of the top of W_K·x_p^-1.
-        """
-        quotient = self._subsets[mask].get("quotient")
-        if quotient is None:
-            rdesc, inv, top = self._rdesc, self._inv, self._left_top(mask)
-            groups: dict[int, list[int]] = {}
-            tops: list[int] = []
-            for x in range(self.order):
-                if not rdesc[x] & mask:
-                    y = inv[x]
-                    groups.setdefault(rdesc[y], []).append(len(tops))
-                    tops.append(inv[top[y]])
-            quotient = self._subsets[mask]["quotient"] = (groups, tops)
-        return quotient
 
     def _walk(self, x: int, mask_j: int, mask_k: int, up: bool) -> int:
         """The shortest (``up`` false) or longest element of W_J·x·W_K: each

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -568,14 +569,30 @@ def test_out_file_unwritable(tmp_path, capsys, monkeypatch):
     (["--type", "A2", "--all-pairs", "--p", "0"], 2),
     (["--type", "A2", "--all-pairs", "--q", "1"], 2),
     (["--type", "A2", "--all-pairs", "--p", "9", "--q", "x"], 2),
+    (["--type", "A2", "--q", "x"], 3),
+    # |W(E7)| is above the default cap, but the subset is refused before enumeration
+    (["--type", "E7", "--p", "9"], 3),
+    # a Cartan error comes before the subset's
+    (["--type", "Z9", "--p", "9"], 2),
 ])
-def test_bad_input_leaves_out_file_untouched(tmp_path, capsys, command, selection, expected):
+def test_bad_input_leaves_out_file_untouched(tmp_path, capsys, monkeypatch, command,
+                                             selection, expected):
+    # the pair flags need only the rank, so no refused input enumerates a group
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_weyl(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "enumerate_weyl", counting)
     target = tmp_path / "report.md"
     target.write_bytes(b"an earlier report\n")
     code, out, err = run(capsys, [command, *selection, "--out", str(target)])
-    assert code == expected and out == ""
+    assert code == expected and out == "" and calls == []
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert target.read_bytes() == b"an earlier report\n"
+    assert run(capsys, [command, "--type", "A2", "--p", "0", "--q", "1"])[0] == 0
+    assert len(calls) == 1
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -961,7 +978,8 @@ TRANSPOSE_COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("name,transpose", [("B3", "C3"), ("G2", None), ("B4", None)])
+@pytest.mark.parametrize("name,transpose", [("B3", "C3"), ("G2", None), ("B4", None),
+                                            ("F4", None)])
 def test_transpose_gives_the_same_bytes_but_the_tag(tmp_path, capsys, name, transpose):
     # a transpose that no --type names is read from a --cartan file
     matrix = [list(column) for column in zip(*cartan_from_name(name).matrix)]
@@ -978,6 +996,8 @@ def test_transpose_gives_the_same_bytes_but_the_tag(tmp_path, capsys, name, tran
         return buf.getvalue()
 
     for command, *options in TRANSPOSE_COMMANDS:
+        if name == "F4" and command == "verify":
+            continue  # F4 runs the two sweeps only: its verify JSON takes too long
         out = output([command, "--type", name, *options])
         t_out = output([command, *source, *options])
         assert t_out.count(tag) == out.count(name) > 0
@@ -988,12 +1008,29 @@ def test_transpose_gives_the_same_bytes_but_the_tag(tmp_path, capsys, name, tran
 # relabelling the simple roots (A -> P A P^T: root i of the new matrix is
 # root p[i] of A) changes every canonical word, table and coset order, but no
 # count: pair (J, K) of the new matrix is pair (p(J), p(K)) of A, with the
-# same label lengths, dimensions and eta
+# same label lengths, dimensions and eta, the same table row and the same
+# verify reports
+def _relabellings(tmp_path, name):
+    """Two seeded relabellings of a type: each p, and --cartan of P A P^T."""
+    matrix = cartan_from_name(name).matrix
+    rng = random.Random(name)
+    for _ in range(2):
+        p = list(range(len(matrix)))
+        while p == sorted(p):  # G2 has only the swap
+            rng.shuffle(p)
+        path = tmp_path / "relabelled.json"
+        path.write_text(json.dumps({"matrix": [[matrix[i][j] for j in p] for i in p]}))
+        yield p, ["--cartan", str(path)]
+
+
+def _relabelled_pair(p, J, K):
+    """The pair (p(J), p(K)) of the original matrix."""
+    return tuple(sorted(p[i] for i in J)), tuple(sorted(p[k] for k in K))
+
+
 @pytest.mark.parametrize("name", ["B3", "D4", "G2"])
 def test_relabelling_keeps_each_pairs_components(tmp_path, capsys, name):
-    matrix = cartan_from_name(name).matrix
-    rank = len(matrix)
-    rng = random.Random(name)
+    rank = len(cartan_from_name(name).matrix)
 
     def components(source):
         with redirect_stdout(io.StringIO()) as buf:
@@ -1008,17 +1045,48 @@ def test_relabelling_keeps_each_pairs_components(tmp_path, capsys, name):
         return pairs
 
     original = components(["--type", name])
-    for _ in range(2):
-        p = list(range(rank))
-        while p == sorted(p):  # G2 has only the swap
-            rng.shuffle(p)
-        path = tmp_path / "relabelled.json"
-        path.write_text(json.dumps({"matrix": [[matrix[i][j] for j in p] for i in p]}))
-        relabelled = components(["--cartan", str(path)])
+    for p, source in _relabellings(tmp_path, name):
+        relabelled = components(source)
         assert len(relabelled) == 4 ** rank
         for (J, K), rows in relabelled.items():
-            image = tuple(sorted(p[i] for i in J)), tuple(sorted(p[k] for k in K))
-            assert rows == original[image], (p, J, K)
+            assert rows == original[_relabelled_pair(p, J, K)], (p, J, K)
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("name", ["B3", "D4", "G2"])
+def test_relabelling_keeps_each_pairs_table_row_and_reports(tmp_path, capsys, name):
+    rank = len(cartan_from_name(name).matrix)
+
+    def csv_rows(command, source, *options):
+        with redirect_stdout(io.StringIO()) as buf:
+            assert cli.main([command, *source, *options, "--format", "csv"]) == 0
+        rows = _csv_rows(buf.getvalue())
+        assert {row["type"] for row in rows} == {name}
+        return rows
+
+    def table(source):
+        # every cell but J and K: cosets, inv_dim, anti_dim and passed, and the
+        # dimensions beside them
+        return {_csv_pair(row): {c: v for c, v in row.items() if c not in ("J", "K")}
+                for row in csv_rows("table", source, "--all-pairs")}
+
+    def verify(source):
+        reports = {}
+        for row in csv_rows("verify", source, "--all-pairs"):
+            stem, *pair = re.fullmatch(r"(\S+) J=\{([\d,]*)\} K=\{([\d,]*)\}",
+                                       row["claim"]).groups()
+            pair = tuple(tuple(map(int, S.split(","))) if S else () for S in pair)
+            reports.setdefault(pair, {})[stem] = (
+                row["expected"], row["computed"], row["passed"])
+        return reports
+
+    for run_of in table, verify:
+        original = run_of(["--type", name])
+        for p, source in _relabellings(tmp_path, name):
+            relabelled = run_of(source)
+            assert len(relabelled) == 4 ** rank
+            for (J, K), cells in relabelled.items():
+                assert cells == original[_relabelled_pair(p, J, K)], (run_of, p, J, K)
     assert capsys.readouterr() == ("", "")
 
 
