@@ -328,8 +328,15 @@ def _stream(doc, path) -> str | None:
     return None
 
 
-def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+def _noted(pairs, at: list) -> Iterator[tuple]:
+    """``pairs``, each held in ``at[0]`` while its rows are made and written."""
+    for pair in pairs:
+        at[0] = pair
+        yield pair
+    at[0] = None
+
+
+def _run(args, at: list) -> int:
     # every input is checked before --out is opened and before the first byte
     try:
         group, pairs, hotta = _load_group(args)
@@ -337,6 +344,7 @@ def main(argv=None) -> int:
             OrderCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_SUBSET if isinstance(exc, InvalidSubset) else EXIT_PARSE_ERROR
+    pairs = _noted(pairs, at)
     tally = Counter(passed=0, failed=0)  # verify reports or table rows written
     if args.command == "table":
         doc = _table_doc(args.format, group, pairs, tally)
@@ -349,6 +357,19 @@ def main(argv=None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     return EXIT_VERIFY_FAILED if tally["failed"] else EXIT_OK
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    at = [None]  # the pair being written, once the sweep has one
+    try:
+        return _run(args, at)
+    except MemoryError:
+        pass  # leaving this block drops the traceback, and the group and document with it
+    where = "" if at[0] is None else " at pair J={} K={}".format(*map(varieties._fmt, at[0]))
+    print(f"error: out of memory for {args.type or args.cartan} (order cap {args.order_cap})"
+          f"{where}", file=sys.stderr)
+    return EXIT_PARSE_ERROR
 
 
 if __name__ == "__main__":

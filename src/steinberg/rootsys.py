@@ -4,12 +4,13 @@ Roots are integer coefficient vectors over the simple roots.  A Weyl group
 is enumerated as the orbit of rho (Casselman, "Machine calculations in Weyl
 groups", 1994): w is keyed by w^-1 rho in fundamental-weight coordinates,
 a rank-length integer tuple, so s_i is a right descent of w exactly when
-coordinate i is negative, and w·s_i has the key reflected in alpha_i.  Only
-the keys of the frontier are formed; what the group keeps are index tables
-(right and left multiplication by s_i, inverse, descents, lengths).
-Enumeration is breadth-first by length with lexicographic tie-breaking on
-the minimal reduced word; every downstream index (cosets, algebra
-coefficients, report rows) inherits that order.
+coordinate i is negative, and w·s_i has the key reflected in alpha_i.
+Enumeration is breadth-first by length, one level at a time, with
+lexicographic tie-breaking on the minimal reduced word; only the keys of
+the level walked and of the next one are held, and what the group keeps
+are index tables (right and left multiplication by s_i, inverse, descents,
+lengths).  Every downstream index (cosets, algebra coefficients, report
+rows) inherits that order.
 """
 
 from __future__ import annotations
@@ -376,7 +377,8 @@ class WeylGroup:
     """Fully enumerated Weyl group with length, descent and product tables.
 
     Elements are the indices 0..order-1 of the rho-orbit enumeration, each
-    with its canonical word.  The length, descent, inverse and
+    with its canonical word; the keys w^-1 rho are held one length level at
+    a time while it runs, and none is kept.  The length, descent, inverse and
     simple-reflection tables (``_length``, ``_rdesc``, ``_inv``, ``_right``
     and ``_left``) are built at enumeration, and the other modules read
     them directly.  A product x·y folds x's reversed word through ``_left``
@@ -416,17 +418,15 @@ class WeylGroup:
         columns = list(zip(*roots.datum.matrix))
         alpha = [[(k, a) for k, a in enumerate(column) if a] for column in columns]
 
-        rho = (1,) * rank
-        keys: list[tuple[int, ...]] = [rho]
+        # key -> index per length level: an ascent of a length-l element has
+        # length l + 1, so it is looked up in the next level only
         words: list[tuple[int, ...]] = [()]
         rdesc: list[int] = [0]
-        index: dict[tuple[int, ...], int] = {rho: 0}
         right: list[list[int]] = [[0] for _ in range(rank)]
-        frontier = [0]
-        while frontier:
-            fresh: list[int] = []
-            for x in frontier:
-                mu = keys[x]
+        level = {(1,) * rank: 0}
+        while level:
+            fresh: dict[tuple[int, ...], int] = {}
+            for mu, x in level.items():
                 for i in range(rank):
                     c = mu[i]
                     if c < 0:
@@ -437,22 +437,20 @@ class WeylGroup:
                     for k, a in alpha[i]:
                         nu[k] -= c * a
                     nu = tuple(nu)
-                    y = index.get(nu)
+                    y = fresh.get(nu)
                     if y is None:
-                        if len(keys) >= order_cap:
+                        if len(words) >= order_cap:
                             raise OrderCapExceeded(f"group order exceeds cap {order_cap}")
-                        y = index[nu] = len(keys)
-                        keys.append(nu)
+                        y = fresh[nu] = len(words)
                         words.append(words[x] + (i,))
                         rdesc.append(0)
                         for column in right:
                             column.append(0)
-                        fresh.append(y)
                     right[i][x] = y
                     right[i][y] = x
-            frontier = fresh
+            level = fresh
 
-        order = len(keys)
+        order = len(words)
         self.order = order
         self._words = words
         self._length = [len(w) for w in words]

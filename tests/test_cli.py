@@ -636,6 +636,48 @@ def test_full_device_exits_2_with_one_error_line(capsys, command):
     assert err.startswith("error: cannot write stdout: ") and len(err.splitlines()) == 1
 
 
+def _address_space_after_import() -> int:
+    """VmPeak, in bytes, of a child that has imported the CLI."""
+    code = ("import steinberg.cli\n"
+            "print(next(line.split()[1] for line in open('/proc/self/status')"
+            " if line.startswith('VmPeak:')))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+                         check=True, capture_output=True, text=True).stdout
+    return int(out) << 10
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+@pytest.mark.parametrize("headroom_mb, header", [(8, False), (40, True)])
+def test_running_out_of_memory_exits_2_with_one_error_line(headroom_mb, header):
+    # The limit is on the child's own address space, set in the child only.
+    # Above its import, E6's group needs about 24 MB and the Borel pair's bases
+    # about 75 MB, so 8 MB fails inside enumeration, before the first byte,
+    # and 40 MB in the first pair, after the header.
+    resource = pytest.importorskip("resource")
+    limit = _address_space_after_import() + (headroom_mb << 20)
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    child = cli_child(["table", "--type", "E6"], stdout=subprocess.PIPE,
+                      preexec_fn=limit_address_space)
+    try:
+        out, err = child.communicate(timeout=120)
+    finally:
+        child.kill()
+        child.wait()
+    err = err.decode()
+    assert child.returncode == 2 and "Traceback" not in err, err
+    message = "error: out of memory for E6 (order cap 51840)"
+    if header:
+        assert out.decode().splitlines() == [
+            "| " + " | ".join(cli.TABLE_COLUMNS) + " |",
+            "| " + " | ".join(["---"] * len(cli.TABLE_COLUMNS)) + " |"]
+        assert err == message + " at pair J={} K={}\n"
+    else:
+        assert out == b"" and err == message + "\n"
+
+
 def test_closed_stdout_ends_the_sweep_quietly():
     child = cli_child(["components", "--type", "D5", "--all-pairs"], stdout=subprocess.PIPE)
     try:
@@ -1127,6 +1169,39 @@ def test_reducible_table_rows_come_from_the_factor_rows(tmp_path, capsys, tag):
         for column in ("n", "l", "d", "f", "dimX", "dimY"):
             assert int(row[column]) == sum(int(r[column]) for r in restricted), (J, K)
     assert capsys.readouterr() == ("", "")
+
+
+def _length_counts_from_heights(closure) -> list[int]:
+    """Coefficients of the product over the exponents e of 1 + t + ... + t^e.
+
+    The exponents are the conjugate partition of the positive roots' height
+    counts n_1 >= n_2 >= ... (Kostant; Macdonald, "The Poincare series of a
+    Coxeter group", 1972), read from the root closure alone.
+    """
+    heights = Counter(sum(beta) for beta in closure)
+    counts = [heights[k] for k in range(1, max(heights) + 1)]
+    poly = [1]
+    for e in (sum(1 for n in counts if n >= j) for j in range(1, counts[0] + 1)):
+        poly = [sum(poly[max(d - e, 0):d + 1]) for d in range(len(poly) + e)]
+    return poly
+
+
+@pytest.mark.parametrize("name", ["A6", "B3", "D4", "G2", *sorted(REDUCIBLE)])
+def test_length_counts_are_the_product_over_the_exponents(tmp_path, name):
+    # inputs no permutation oracle checks: A6, the relabelled matrices above and
+    # the interleaved block sums
+    if name in REDUCIBLE:
+        matrices = [REDUCIBLE[name][0]]
+    elif name == "A6":
+        matrices = [cartan_from_name(name).matrix]
+    else:
+        matrices = [json.loads(Path(source[1]).read_text())["matrix"]
+                    for _, source in _relabellings(tmp_path, name)]
+    for matrix in matrices:
+        datum = validate_cartan(matrix)
+        lengths = Counter(enumerate_weyl(root_system(datum))._length)
+        assert [lengths[k] for k in range(max(lengths) + 1)] == \
+            _length_counts_from_heights(datum.closure), matrix
 
 
 def test_readme_quickstart_prints_what_it_says():

@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as hyp
@@ -345,6 +346,20 @@ def test_rho_orbit_tables_match_permutation_enumeration(name):
     assert g._rdesc == bfs["rdesc"]
     assert g._length == bfs["length"]
     assert [s.index for s in g.simple] == bfs["simple"]
+
+
+def test_enumeration_holds_one_level_of_keys():
+    # a key w^-1 rho is held only while its length level is walked, so the
+    # peak of enumeration is the group it returns, not that and a key each
+    roots = root_system(cartan_from_name("B5"))
+    tracemalloc.start()
+    try:
+        g = enumerate_weyl(roots)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.order == 3840
+    assert peak <= 1.05 * size, (peak, size)
 
 
 def test_canonical_words_are_lex_minimal_reduced():
