@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
@@ -311,6 +312,8 @@ def _stream(doc, path) -> str | None:
     """
     try:
         with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
+            if out is None:  # the interpreter started with descriptor 1 closed
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             for piece in doc:
                 out.write(piece)
             out.flush()
@@ -366,6 +369,11 @@ def main(argv=None) -> int:
         return _run(args, at)
     except MemoryError:
         pass  # leaving this block drops the traceback, and the group and document with it
+    except SystemError as exc:
+        # out of memory, CPython 3.11 and 3.12 can lose a call's MemoryError:
+        # the Python function that C called then returned NULL with none set
+        if "returned NULL without setting an exception" not in str(exc):
+            raise
     where = "" if at[0] is None else " at pair J={} K={}".format(*map(varieties._fmt, at[0]))
     print(f"error: out of memory for {args.type or args.cartan} (order cap {args.order_cap})"
           f"{where}", file=sys.stderr)

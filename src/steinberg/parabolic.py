@@ -98,13 +98,14 @@ def _left_top(group: WeylGroup, mask: int) -> list[int]:
     """``top[y]`` is the longest element of W_J·y, J as a bit mask.
 
     Filled in reverse enumeration order: for the lowest j in J that is
-    not a left descent of y, s_j·y is longer, so its entry is filled.
+    not a left descent of y, s_j·y is longer, so its entry is filled.  The
+    empty J has no such j, so its pass is skipped: each y is its own top.
     """
     top = group._subsets[mask].get("top")
     if top is None:
         rdesc, inv, left = group._rdesc, group._inv, group._left
         top = group._subsets[mask]["top"] = list(range(group.order))
-        for y in range(group.order - 1, -1, -1):
+        for y in range(group.order - 1 if mask else -1, -1, -1):
             up = mask & ~rdesc[inv[y]]
             if up:
                 top[y] = top[left[(up & -up).bit_length() - 1][y]]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
+from itertools import islice
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -159,50 +160,37 @@ _NAME_RE = re.compile(r"^([A-G])([0-9]+)$")
 
 
 def standard_cartan(letter: str, n: int) -> tuple[tuple[int, ...], ...]:
-    """Standard Cartan matrix for one simple type, Bourbaki numbering."""
-    def blank() -> list[list[int]]:
-        return [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    """Standard Cartan matrix for one simple type, Bourbaki numbering.
 
-    def link(m, i, j, down=-1, up=-1):
-        m[i][j] = down
-        m[j][i] = up
-
-    if letter == "A" and n >= 1:
-        m = blank()
-        for i in range(n - 1):
-            link(m, i, i + 1)
-    elif letter == "B" and n >= 2:
-        m = blank()
-        for i in range(n - 2):
-            link(m, i, i + 1)
-        link(m, n - 2, n - 1, down=-1, up=-2)
-    elif letter == "C" and n >= 2:
-        m = blank()
-        for i in range(n - 2):
-            link(m, i, i + 1)
-        link(m, n - 2, n - 1, down=-2, up=-1)
-    elif letter == "D" and n >= 3:
-        m = blank()
-        for i in range(n - 3):
-            link(m, i, i + 1)
-        link(m, n - 3, n - 2)
-        link(m, n - 3, n - 1)
-    elif letter == "E" and n in (6, 7, 8):
-        m = blank()
-        chain = [0, 2, 3, 4, 5, 6, 7][: n - 1]
-        for a, b in zip(chain, chain[1:]):
-            link(m, a, b)
-        link(m, 1, 3)
-    elif letter == "F" and n == 4:
-        m = blank()
-        link(m, 0, 1)
-        link(m, 1, 2, down=-1, up=-2)
-        link(m, 2, 3)
-    elif letter == "G" and n == 2:
-        m = [[2, -1], [-3, 2]]
-    else:
-        raise ParseError(f"no standard type {letter}{n}")
-    return tuple(tuple(row) for row in m)
+    Each type is its list of Dynkin bonds (i, j, a_ij, a_ji), node k being
+    Bourbaki's alpha_{k+1}.  a_ij = <alpha_i^vee, alpha_j> is the pairing
+    _closure reads (Kac's convention, the transpose of Bourbaki's): B_n has
+    its short root last, C_n its long root last and F4 short nodes 2 and 3,
+    as on Plates II, III and VIII, but G2's a_10 = -3 makes node 1 short, the
+    reverse of Plate IX (a transpose has the same Weyl group and root count).
+    """
+    path = ((i, i + 1, -1, -1) for i in range(n - 1))  # lazy: read only by A-E
+    match letter:
+        case "A" if n >= 1:
+            bonds = list(path)
+        case "B" if n >= 2:
+            bonds = [*islice(path, n - 2), (n - 2, n - 1, -1, -2)]
+        case "C" if n >= 2:
+            bonds = [*islice(path, n - 2), (n - 2, n - 1, -2, -1)]
+        case "D" if n >= 3:
+            bonds = [*islice(path, n - 2), (n - 3, n - 1, -1, -1)]
+        case "E" if n in (6, 7, 8):
+            bonds = [(0, 2, -1, -1), (1, 3, -1, -1), *islice(path, 2, None)]
+        case "F" if n == 4:
+            bonds = [(0, 1, -1, -1), (1, 2, -1, -2), (2, 3, -1, -1)]
+        case "G" if n == 2:
+            bonds = [(0, 1, -1, -3)]
+        case _:
+            raise ParseError(f"no standard type {letter}{n}")
+    m = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j, a_ij, a_ji in bonds:
+        m[i][j], m[j][i] = a_ij, a_ji
+    return tuple(map(tuple, m))
 
 
 def _split_type_name(name: str) -> tuple[str, int]:

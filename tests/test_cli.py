@@ -678,6 +678,44 @@ def test_running_out_of_memory_exits_2_with_one_error_line(headroom_mb, header):
         assert out == b"" and err == message + "\n"
 
 
+def test_a_lost_memory_error_is_out_of_memory(capsys, monkeypatch):
+    # out of memory, CPython 3.11 and 3.12 can lose a call's MemoryError and raise
+    # this SystemError instead (seen under RLIMIT_AS in WeylGroup.__init__)
+    def lost(args, at):
+        raise SystemError("<function WeylGroup.__init__ at 0x7f> returned NULL without "
+                          "setting an exception")
+
+    monkeypatch.setattr(cli, "_run", lost)
+    assert run(capsys, ["table", "--type", "E6"]) == (
+        2, "", "error: out of memory for E6 (order cap 51840)\n")
+
+    def other(args, at):
+        raise SystemError("bad argument to internal function")
+
+    monkeypatch.setattr(cli, "_run", other)
+    with pytest.raises(SystemError, match="bad argument"):
+        cli.main(["table", "--type", "E6"])
+
+
+@pytest.mark.parametrize("command", ["table", "components", "verify"])
+def test_closed_descriptor_1_is_a_write_error(tmp_path, capsys, command):
+    # with descriptor 1 closed at start the interpreter sets sys.stdout to None:
+    # the same exit 2 and one line as an unwritable stdout, and --out still works
+    def close_stdout():
+        os.close(1)
+
+    child = cli_child([command, "--type", "A1"], preexec_fn=close_stdout)
+    _, err = child.communicate(timeout=60)
+    err = err.decode()
+    assert child.returncode == 2 and "Traceback" not in err, err
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot write stdout: ")
+    target = tmp_path / "out.md"
+    child = cli_child([command, "--type", "A1", "--out", str(target)], preexec_fn=close_stdout)
+    _, err = child.communicate(timeout=60)
+    assert child.returncode == 0 and err == b""
+    assert target.read_text(encoding="utf-8") == run(capsys, [command, "--type", "A1"])[1]
+
+
 def test_closed_stdout_ends_the_sweep_quietly():
     child = cli_child(["components", "--type", "D5", "--all-pairs"], stdout=subprocess.PIPE)
     try:

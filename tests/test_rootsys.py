@@ -259,6 +259,31 @@ def test_standard_matrices():
     assert c3[1][2] == -2 and c3[2][1] == -1
 
 
+# frozen: the number of positive roots of each admitted type (Bourbaki, Plates I-IX)
+STANDARD_ROOT_COUNTS = {
+    "A": lambda n: n * (n + 1) // 2 if n >= 1 else None,
+    "B": lambda n: n * n if n >= 2 else None,
+    "C": lambda n: n * n if n >= 2 else None,
+    "D": lambda n: n * (n - 1) if n >= 3 else None,
+    "E": {6: 36, 7: 63, 8: 120}.get,
+    "F": {4: 24}.get,
+    "G": {2: 6}.get,
+}
+
+
+@pytest.mark.parametrize("letter", "ABCDEFG")
+def test_standard_types_admitted_and_refused(letter):
+    for n in range(-1, 13):
+        count = STANDARD_ROOT_COUNTS[letter](n)
+        if count is None:
+            with pytest.raises(ParseError, match=f"^no standard type {letter}{n}$"):
+                standard_cartan(letter, n)
+            continue
+        datum = validate_cartan(standard_cartan(letter, n))
+        assert len(datum.closure) == count, (letter, n)
+        assert datum.type_name == {"C2": "B2", "D3": "A3"}.get(f"{letter}{n}", f"{letter}{n}")
+
+
 # -- positive roots ---------------------------------------------------------
 
 def test_positive_root_order_a2():
