@@ -20,7 +20,6 @@ from .errors import (
 from .rootsys import (
     DEFAULT_ORDER_CAP,
     CartanDatum,
-    Root,
     RootSystem,
     WeylElement,
     WeylGroup,

@@ -135,9 +135,14 @@ def _parse_subset(text: str | list | None, rank: int) -> tuple[int, ...]:
         text = "--"
     if text is None or text.strip() == "":
         return ()
+    # ASCII digits only, as --type reads them: int() would also take "0_1",
+    # "+1" and other scripts' digits
+    entries = [p.strip() for p in text.split(",")]
     try:
-        indices = [int(p) for p in text.split(",")]  # int() strips whitespace
-    except ValueError:
+        indices = [int(p) for p in entries if p.isascii() and p.isdigit()]
+    except ValueError:  # more digits than int() converts
+        indices = []
+    if len(indices) != len(entries):
         raise InvalidSubset(f"subset {text!r} is not a comma-separated integer list")
     return parabolic.normalize_subset(rank, indices)
 

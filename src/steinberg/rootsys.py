@@ -56,23 +56,6 @@ class CartanDatum(NamedTuple):
         return len(self.matrix)
 
 
-class Root(NamedTuple):
-    """Integer coefficient vector over the simple roots."""
-
-    coords: tuple[int, ...]
-
-    @property
-    def height(self) -> int:
-        return sum(self.coords)
-
-    @property
-    def is_positive(self) -> bool:
-        return all(c >= 0 for c in self.coords) and any(self.coords)
-
-    def __repr__(self) -> str:
-        return f"Root({self.coords})"
-
-
 def _closure(matrix: tuple[tuple[int, ...], ...], cap: int) -> tuple[tuple[int, ...], ...]:
     """All positive roots by reflection closure of the simple roots.
 
@@ -80,31 +63,35 @@ def _closure(matrix: tuple[tuple[int, ...], ...], cap: int) -> tuple[tuple[int, 
     the result is either positive again or the negated simple root itself,
     so it suffices to keep the all-nonnegative images.  Divergence of this
     loop is exactly failure of finite type, hence the cap; a finite type
-    with more roots than the cap (A49 has 1,225) is refused as well.
+    with more roots than the cap (A49 has 1,225) is refused as well.  The
+    pairings <beta, alpha_i^vee> are summed over beta's support through the
+    matrix's nonzero columns, and the cap is checked before each beta, which
+    adds at most rank roots, so a refusal holds at most cap + rank of them.
     """
     rank = len(matrix)
-    simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-    seen: set[tuple[int, ...]] = set(simple)
-    frontier = list(simple)
-    while frontier:
-        fresh: list[tuple[int, ...]] = []
-        for beta in frontier:
-            for i in range(rank):
-                pairing = sum(matrix[i][j] * beta[j] for j in range(rank))
-                c = beta[i] - pairing
-                if c < 0:
-                    continue
-                gamma = beta[:i] + (c,) + beta[i + 1 :]
-                if gamma not in seen:
-                    seen.add(gamma)
-                    fresh.append(gamma)
+    columns = [[(i, a) for i, a in enumerate(column) if a] for column in zip(*matrix)]
+    roots = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
+    seen = set(roots)
+    for beta in roots:  # roots grows while it is read
         if len(seen) > cap:
             raise NotFiniteType(
                 f"root closure exceeded {cap} positive roots; matrix is not of "
                 f"finite type, or its root system is larger than the cap"
             )
-        frontier = fresh
-    return tuple(sorted(seen, key=lambda v: (sum(v), tuple(-c for c in v))))
+        pairings: dict[int, int] = {}
+        for j, b in enumerate(beta):
+            if b:
+                for i, a in columns[j]:
+                    pairings[i] = pairings.get(i, 0) + a * b
+        for i, pairing in pairings.items():
+            c = beta[i] - pairing
+            if pairing == 0 or c < 0:  # s_i fixes beta, or makes it negative
+                continue
+            gamma = beta[:i] + (c,) + beta[i + 1 :]
+            if gamma not in seen:
+                seen.add(gamma)
+                roots.append(gamma)
+    return tuple(sorted(roots, key=lambda v: (sum(v), tuple(-c for c in v))))
 
 
 def validate_cartan(matrix, labels=None) -> CartanDatum:
@@ -261,7 +248,8 @@ def _classify(matrix, roots) -> str:
 class RootSystem:
     """Positive roots of a finite type Cartan matrix, in a fixed order.
 
-    The order is by height, then reverse-lexicographic on coordinates, so
+    ``positive`` is the datum's ``closure`` itself, coordinate tuples over
+    the simple roots ordered by height, then reverse-lexicographically, so
     the simple roots come first as alpha_1, ..., alpha_r.  ``_supports``
     holds each positive root's support as a bit mask; ``_lengths`` maps a
     subset mask to l(w_J), the number of those supports inside it, and is
@@ -272,9 +260,8 @@ class RootSystem:
 
     def __init__(self, datum: CartanDatum):
         self.datum = datum
-        coords = datum.closure
-        self.positive: tuple[Root, ...] = tuple(Root(c) for c in coords)
-        self._supports = tuple(sum(1 << i for i, c in enumerate(b) if c) for b in coords)
+        self.positive = datum.closure
+        self._supports = tuple(sum(1 << i for i, c in enumerate(b) if c) for b in self.positive)
         self._lengths: dict[int, int] = {}
 
     @property

@@ -5,14 +5,17 @@ recomputed from signed root permutations (not the multiplication table;
 the library keeps no permutations at all), the group's tables are rebuilt
 by a permutation enumeration (not the orbit of rho), cosets are counted by
 union-find (not orbit BFS), Bruhat order is built from reflection chains
-and from literal subword search, and ranks come from a dense Gaussian
-elimination (not the sparse reducer).
+and from literal subword search, ranks come from a dense Gaussian
+elimination (not the sparse reducer), and the root closure sums dense rows
+level by level (not sparse columns root by root).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import invert
+
+from steinberg import NotFiniteType
 
 
 def _compose(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
@@ -40,6 +43,38 @@ def _invert(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def dense_closure(matrix, cap: int) -> tuple[tuple[int, ...], ...]:
+    """The positive roots by reflection closure, one length level at a time.
+
+    Every pairing <beta, alpha_i^vee> is a dense row sum over all rank
+    coordinates, and the cap is read once per level; a closure of more than
+    ``cap`` roots raises the library's refusal, word for word.
+    """
+    rank = len(matrix)
+    simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
+    seen = set(simple)
+    frontier = list(simple)
+    while frontier:
+        fresh = []
+        for beta in frontier:
+            for i in range(rank):
+                pairing = sum(matrix[i][j] * beta[j] for j in range(rank))
+                c = beta[i] - pairing
+                if c < 0:
+                    continue
+                gamma = beta[:i] + (c,) + beta[i + 1 :]
+                if gamma not in seen:
+                    seen.add(gamma)
+                    fresh.append(gamma)
+        if len(seen) > cap:
+            raise NotFiniteType(
+                f"root closure exceeded {cap} positive roots; matrix is not of "
+                f"finite type, or its root system is larger than the cap"
+            )
+        frontier = fresh
+    return tuple(sorted(seen, key=lambda v: (sum(v), tuple(-c for c in v))))
+
+
 def simple_perms(roots) -> list[tuple[int, ...]]:
     """Each simple reflection as a signed permutation of the positive roots.
 
@@ -47,12 +82,11 @@ def simple_perms(roots) -> list[tuple[int, ...]]:
     s_i(beta) = beta - <beta, alpha_i^vee> alpha_i, read off the Cartan matrix.
     """
     matrix = roots.datum.matrix
-    coords = [r.coords for r in roots.positive]
-    index = {c: k for k, c in enumerate(coords)}
+    index = {c: k for k, c in enumerate(roots.positive)}
     perms = []
     for i, row in enumerate(matrix):
         images = []
-        for beta in coords:
+        for beta in roots.positive:
             gamma = list(beta)
             gamma[i] -= sum(a * b for a, b in zip(row, beta))
             k = index.get(tuple(gamma))

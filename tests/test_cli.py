@@ -275,6 +275,14 @@ def test_bad_subsets_exit_3(capsys):
         code, _, err = run(capsys, ["table", "--type", "A2", "--p", p, "--q", "1"])
         assert code == 3, p
         assert err.startswith("error:")
+    # int() reads each of these as an index; a subset takes ASCII digits only
+    for p in ["0_1", "+1", "\u0663", "\uff11"]:
+        code, out, err = run(capsys, ["table", "--type", "A4", "--p", p, "--q", "1"])
+        assert (code, out) == (3, ""), p
+        assert err == f"error: subset {p!r} is not a comma-separated integer list\n"
+    # spaces around the entries are still stripped
+    assert run(capsys, ["table", "--type", "A4", "--p", " 0 , 1 ", "--q", "1"]) == \
+        run(capsys, ["table", "--type", "A4", "--p", "0,1", "--q", "1"])
     # argparse hands "--p=--" over as an empty list, not as the text "--"
     code, _, err = run(capsys, ["table", "--type", "A2", "--p=--", "--q", "1"])
     assert code == 3 and err == "error: subset '--' is not a comma-separated integer list\n"
@@ -293,8 +301,9 @@ def test_order_cap(capsys):
     assert code == 2 and err.startswith("error:")
 
 
-# digits, separators, signs, and non-ASCII digits: Arabic-Indic three (int() reads
-# it as 3), fullwidth one (1) and superscript two (int() rejects it)
+# digits, separators, signs, and non-ASCII digits: Arabic-Indic three and fullwidth
+# one (a subset refuses both, --order-cap's int() reads them as 3 and 1) and
+# superscript two (int() rejects it)
 _FUZZ_TEXT = hyp.text(alphabet="0123456789, +-\u0663\uff11\u00b2", max_size=8)
 _FUZZ_CAP = hyp.one_of(
     hyp.integers(min_value=-3, max_value=12).map(str),
@@ -1217,9 +1226,9 @@ def _length_counts_from_heights(closure) -> list[int]:
     Coxeter group", 1972), read from the root closure alone.
     """
     heights = Counter(sum(beta) for beta in closure)
-    counts = [heights[k] for k in range(1, max(heights) + 1)]
-    poly = [1]
-    for e in (sum(1 for n in counts if n >= j) for j in range(1, counts[0] + 1)):
+    counts = [heights[k] for k in range(1, max(heights, default=0) + 1)]
+    poly = [1]  # the empty closure's, W of the empty subset being trivial
+    for e in (sum(1 for n in counts if n >= j) for j in range(1, heights[1] + 1)):
         poly = [sum(poly[max(d - e, 0):d + 1]) for d in range(len(poly) + e)]
     return poly
 
@@ -1237,9 +1246,22 @@ def test_length_counts_are_the_product_over_the_exponents(tmp_path, name):
                     for _, source in _relabellings(tmp_path, name)]
     for matrix in matrices:
         datum = validate_cartan(matrix)
-        lengths = Counter(enumerate_weyl(root_system(datum))._length)
-        assert [lengths[k] for k in range(max(lengths) + 1)] == \
-            _length_counts_from_heights(datum.closure), matrix
+        group = enumerate_weyl(root_system(datum))
+        lengths = Counter(group._length)
+        poincare = [lengths[k] for k in range(max(lengths) + 1)]
+        assert poincare == _length_counts_from_heights(datum.closure), matrix
+        # W(t) = W^K(t)·W_K(t) for every K: x ranges over W^K through the
+        # coset tables' tops x·w_K, and l(w_K) counts the roots supported on K
+        for mask in range(1 << datum.rank):
+            on_k = [beta for beta in datum.closure
+                    if all(mask >> i & 1 for i, c in enumerate(beta) if c)]
+            quotient = Counter(group._length[top] - len(on_k)
+                               for top in parabolic._right_quotient(group, mask)[1])
+            q = [quotient[k] for k in range(max(quotient) + 1)]
+            w_k = _length_counts_from_heights(on_k)
+            product = [sum(q[e] * w_k[d - e] for e in range(len(q)) if 0 <= d - e < len(w_k))
+                       for d in range(len(q) + len(w_k) - 1)]
+            assert min(quotient) == 0 and product == poincare, (matrix, mask)
 
 
 def test_readme_quickstart_prints_what_it_says():

@@ -26,7 +26,7 @@ from steinberg import (
     word_name,
 )
 from steinberg import cli
-from steinberg.rootsys import _PRODUCT_TABLE_LIMIT, WeylGroup
+from steinberg.rootsys import _PRODUCT_TABLE_LIMIT, DEFAULT_ROOT_CAP, WeylGroup
 from steinberg.varieties import y_components
 
 # frozen: classical Weyl group orders
@@ -129,9 +129,14 @@ def test_every_admitted_matrix_up_to_rank_3_gets_a_standard_tag():
                 matrix[i][j], matrix[j][i] = a, b
             tried += 1
             try:
-                datum = validate_cartan(matrix)
-            except NotFiniteType:
+                expected = orc.dense_closure(matrix, DEFAULT_ROOT_CAP)
+            except NotFiniteType as refusal:
+                with pytest.raises(NotFiniteType) as caught:
+                    validate_cartan(matrix)
+                assert str(caught.value) == str(refusal), matrix
                 continue
+            datum = validate_cartan(matrix)
+            assert datum.closure == expected, matrix
             admitted += 1
             parts = [cartan_from_name(part) for part in datum.type_name.split("x")]
             assert sum(part.rank for part in parts) == rank, matrix
@@ -157,6 +162,19 @@ def test_classification_shuffled_large_rank_is_fast(tmp_path, capsys, name):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("matrix", [
+    standard_cartan("A", 300),
+    # rank 400 with every off-diagonal entry -1: each bond is 1, so only the
+    # root closure refuses it, and its first level alone has 79,800 roots
+    [[2 if i == j else -1 for j in range(400)] for i in range(400)],
+], ids=["A300", "dense rank 400"])
+def test_root_cap_refusal_of_a_large_rank_is_fast(matrix):
+    start = time.perf_counter()
+    with pytest.raises(NotFiniteType, match="^root closure exceeded 1200 positive roots;"):
+        validate_cartan(matrix)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_validate_rejects_affine():
@@ -221,7 +239,7 @@ def test_root_system_reads_the_closure_of_its_datum(monkeypatch):
     monkeypatch.setattr(rootsys, "_closure", forbidden)
     roots = root_system(datum)
     assert roots.n_positive == 36
-    assert tuple(root.coords for root in roots.positive) == datum.closure
+    assert roots.positive is datum.closure
 
 
 @pytest.mark.parametrize("matrix", [
@@ -290,25 +308,24 @@ def test_positive_root_order_a2():
     # expected values computed once by the independent closure enumeration oracle, then frozen
     rs = root_system(cartan_from_name("A2"))
     roots = rs.positive
-    assert [r.coords for r in roots] == [(1, 0), (0, 1), (1, 1)]
-    assert repr(roots[2]) == "Root((1, 1))"
+    assert roots == ((1, 0), (0, 1), (1, 1))
     assert repr(rs) == "RootSystem(A2, 3 positive roots)"
 
 
 def test_positive_root_order_b2_g2():
     # expected values computed once by the independent closure enumeration, then frozen
-    assert [r.coords for r in root_system(cartan_from_name("B2")).positive] == [
-        (1, 0), (0, 1), (1, 1), (1, 2)]
-    assert [r.coords for r in root_system(cartan_from_name("G2")).positive] == [
-        (1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 3)]
+    assert root_system(cartan_from_name("B2")).positive == (
+        (1, 0), (0, 1), (1, 1), (1, 2))
+    assert root_system(cartan_from_name("G2")).positive == (
+        (1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 3))
 
 
 def test_positive_root_counts():
     for name, count in ROOT_COUNTS.items():
         roots = root_system(cartan_from_name(name)).positive
         assert len(roots) == count, name
-        assert all(r.is_positive for r in roots)
-        heights = [r.height for r in roots]
+        assert all(min(r) >= 0 and any(r) for r in roots)
+        heights = [sum(r) for r in roots]
         assert heights == sorted(heights)
 
 
@@ -317,7 +334,7 @@ def test_simple_roots_come_first():
         rs = root_system(cartan_from_name(name))
         for i in range(rs.rank):
             expect = tuple(1 if j == i else 0 for j in range(rs.rank))
-            assert rs.positive[i].coords == expect
+            assert rs.positive[i] == expect
 
 
 # -- enumeration ------------------------------------------------------------
