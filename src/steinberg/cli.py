@@ -83,7 +83,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--format", default="markdown",
                        choices=["markdown", "json", "csv"])
         p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
+        p.add_argument("--order-cap", default=str(DEFAULT_ORDER_CAP))
         if name == "verify":
             p.add_argument("--hotta", action="store_true",
                            help="check the sign-eigenspace/descent counts per simple reflection")
@@ -91,8 +91,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _load_group(args):
-    if isinstance(args.order_cap, list):  # argparse reads --order-cap=-- as []
-        raise ParseError("argument --order-cap: invalid int value: '--'")
+    text = _flag_text(args.order_cap)
+    cap = _ascii_int(text, signed=True)
+    if cap is None:
+        raise ParseError(f"argument --order-cap: invalid int value: {text!r}")
     if args.type is not None:
         rank = _split_type_name(args.type)[1]
     else:
@@ -121,28 +123,35 @@ def _load_group(args):
         rank = len(payload["matrix"]) if isinstance(payload["matrix"], list) else 0
     # a Weyl group of rank r has order at least 2^r, which A1^r attains, so this
     # refuses nothing the cap admits, before any work of order rank^2 or rank^3
-    if rank >= max(args.order_cap, 0).bit_length():
+    if rank >= max(cap, 0).bit_length():
         raise OrderCapExceeded(f"rank {rank} gives a group order of at least 2^rank, "
-                               f"above cap {args.order_cap}")
+                               f"above cap {cap}")
     datum = (cartan_from_name(args.type) if args.type is not None
              else validate_cartan(payload["matrix"], payload.get("labels")))
     pairs, hotta = _resolve_pairs(args, datum.rank)  # the pair flags, before enumeration
-    return enumerate_weyl(root_system(datum), order_cap=args.order_cap), pairs, hotta
+    return enumerate_weyl(root_system(datum), order_cap=cap), pairs, hotta
+
+
+def _flag_text(value: str | list | None) -> str | None:
+    return "--" if isinstance(value, list) else value  # argparse reads --p=-- as []
+
+
+def _ascii_int(text: str, signed=False) -> int | None:
+    """``text`` as an int if it is ASCII digits, after one leading minus if
+    ``signed``, else None; int() would also take "0_1", "+1", other scripts' digits."""
+    digits = text[1:] if signed and text.startswith("-") else text
+    try:
+        return int(text) if digits.isascii() and digits.isdigit() else None
+    except ValueError:  # more digits than int() converts
+        return None
 
 
 def _parse_subset(text: str | list | None, rank: int) -> tuple[int, ...]:
-    if isinstance(text, list):  # argparse reads --p=-- as [], dropping the "--"
-        text = "--"
+    text = _flag_text(text)
     if text is None or text.strip() == "":
         return ()
-    # ASCII digits only, as --type reads them: int() would also take "0_1",
-    # "+1" and other scripts' digits
-    entries = [p.strip() for p in text.split(",")]
-    try:
-        indices = [int(p) for p in entries if p.isascii() and p.isdigit()]
-    except ValueError:  # more digits than int() converts
-        indices = []
-    if len(indices) != len(entries):
+    indices = [_ascii_int(p.strip()) for p in text.split(",")]
+    if None in indices:
         raise InvalidSubset(f"subset {text!r} is not a comma-separated integer list")
     return parabolic.normalize_subset(rank, indices)
 

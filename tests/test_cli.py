@@ -9,6 +9,7 @@ import math
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -19,10 +20,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as hyp
 
+from cli_digests import CARTAN, DIGESTS
 from steinberg import algebra, cli, parabolic, varieties
 from steinberg.algebra import SubspaceBasis
 from steinberg.rootsys import cartan_from_name, enumerate_weyl, root_system, validate_cartan
 from steinberg.varieties import VerificationReport
+
+SHA256 = dict(DIGESTS)
 
 
 def run(capsys, argv):
@@ -296,14 +300,16 @@ def test_order_cap(capsys):
     code, out, _ = run(capsys, ["table", "--type", "A2", "--p", "0", "--q", "1",
                                 "--order-cap", "6"])
     assert code == 0
-    # argparse reads --order-cap=-- as an empty list, past its int conversion
-    code, _, err = run(capsys, ["table", "--type", "A2", "--order-cap=--"])
-    assert code == 2 and err.startswith("error:")
+    # ASCII digits only, as a subset reads them: int() reads the first five as
+    # 6, and argparse hands --order-cap=-- over as an empty list
+    for cap in ["\u0666", "\uff16", "+6", "0_6", " 6", "--", ""]:
+        code, out, err = run(capsys, ["table", "--type", "A2", f"--order-cap={cap}"])
+        assert (code, out) == (2, ""), cap
+        assert err == f"error: argument --order-cap: invalid int value: {cap!r}\n"
 
 
-# digits, separators, signs, and non-ASCII digits: Arabic-Indic three and fullwidth
-# one (a subset refuses both, --order-cap's int() reads them as 3 and 1) and
-# superscript two (int() rejects it)
+# digits, separators, signs, and non-ASCII digits: Arabic-Indic three, fullwidth
+# one and superscript two, which a subset and --order-cap both refuse
 _FUZZ_TEXT = hyp.text(alphabet="0123456789, +-\u0663\uff11\u00b2", max_size=8)
 _FUZZ_CAP = hyp.one_of(
     hyp.integers(min_value=-3, max_value=12).map(str),
@@ -326,11 +332,9 @@ def test_cli_boundary_fuzz(command, name, p, q, cap):
         if value is not None:
             argv.append(f"{flag}={value}")
     out, err = io.StringIO(), io.StringIO()
+    # every value is read by cli, not argparse, so none ends in SystemExit
     with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse rejecting an option value
-            code = exc.code
+        code = cli.main(argv)
     assert code in (0, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
     assert (code == 0) == (err.getvalue() == "")
@@ -796,22 +800,13 @@ def test_closed_stdout_exit_code_counts_written_table_rows(capsys, monkeypatch, 
     assert len(sink.sizes) == closed_at
 
 
-# stdout sha256 of B4 --all-pairs --format json, recorded before the output
-# was streamed, when each document was one json.dumps
-B4_JSON_SHA256 = {
-    "table": "5e6ac23e127ca15538c9f31721c462c812104173e511b9aebff8bb0cea01a746",
-    "components": "f4e0928c6c79b5b0a6a842958c3ab7bc4e8db4d00d76356d042c67dc27ed0776",
-    "verify": "a75c37109eb942306e692c2d481ca7de1725cfd3d99258c8f65231ff7d150b35",
-}
-
-
-@pytest.mark.parametrize("command", sorted(B4_JSON_SHA256))
+@pytest.mark.parametrize("command", ["components", "table", "verify"])
 def test_output_streams_pair_by_pair(monkeypatch, command):
     sink = Sink(keep=True)
     monkeypatch.setattr(sys, "stdout", sink)
     assert cli.main([command, "--type", "B4", "--all-pairs", "--format", "json"]) == 0
     out = "".join(sink.parts)
-    assert sink.digest.hexdigest() == B4_JSON_SHA256[command]
+    assert sink.digest.hexdigest() == SHA256[f"{command} --type B4 --all-pairs --format json"]
     document = json.loads(out)
     assert json.dumps(document, indent=2) + "\n" == out
     # each pair's rows, as the whole document renders them, joined by ",\n"
@@ -834,7 +829,8 @@ def test_components_sweep_peak_stays_below_its_output(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 0 and sink.digest.hexdigest() == B4_JSON_SHA256["components"]
+    assert code == 0
+    assert sink.digest.hexdigest() == SHA256["components --type B4 --all-pairs --format json"]
     assert peak < sum(sink.sizes), (peak, sum(sink.sizes))
 
 
@@ -917,142 +913,53 @@ def test_console_script_installed():
     assert scripts.get("steinberg") == target
 
 
-# frozen: stdout sha256 of every table/verify format on four types with
-# --all-pairs, recorded from the implementation before the per-pair context;
-# the A2/B3/G2/D4 components digests were recorded before the
-# integer-numerator algebra, the F4 and --cartan ones before the components
-# path lifted min reps to max reps by greedy ascent, the B4 ones before it
-# read them from per-subset coset tables
-CORPUS_SHA256 = {
-    ("components", "B4", "markdown"):
-        "91641609071db90d7d41f4947eeaf15d2bc558ee2ec74d2eca8d2e1b61d8b802",
-    ("components", "B4", "csv"):
-        "837d7eadc8706126cd25c69ccb4f23000411b694eaf2cf822f4cc703107d974f",
-    ("components", "B4", "json"):
-        "f4e0928c6c79b5b0a6a842958c3ab7bc4e8db4d00d76356d042c67dc27ed0776",
-    ("components", "F4", "markdown"):
-        "13dc286b33b12cad6e1fa0ec5256e69a7f953168451bc39065c46a2870132c71",
-    ("components", "F4", "csv"):
-        "46ea0d5735fdcf512d0d80deaecefdebe17eb0210e36b556e48b4d3f4e2e5483",
-    ("components", "F4", "json"):
-        "180b8c9285b81d8981b64783fe67f775e97a9e1043c09bfbbfd5ad7b84780b2c",
-    ("components", "cartan-A1xA2", "csv"):
-        "24a4b847c0d350b1000215730b09ad850416732af63c3ced60ce73b6a5a5cf1d",
-    ("components", "cartan-A1xA2", "json"):
-        "b29e3d999d4596410e8762a7b1962e629d2df06530643b2f031af8ef0862deef",
-    ("components", "A2", "markdown"):
-        "14b504e12e6129b8be6b9ba20383f61a2c574cbd97168fc9f01c724fb5e0d7cf",
-    ("components", "A2", "csv"):
-        "c1d9fc0146d09569cc2b2ee6e11794cdc8ab1de51bd511142bd599af68a85e03",
-    ("components", "A2", "json"):
-        "01fc749a265e5cabe76d47c3258abe6dbe1e4d68e4e6ff644cb8cf711ef37071",
-    ("components", "B3", "markdown"):
-        "8e12e9c2a20e90cfd9f66d0a1050ddc46611bd765f7d15e2769df3770af6a1e5",
-    ("components", "B3", "csv"):
-        "b9680394a1169fb9b4bfdae8b4ba945d6e95ece27574740b5f8d3f1913ef7a26",
-    ("components", "B3", "json"):
-        "062727ded365d0641623c2927a98e5dbf13bd87cb4c83a99220cc4bafbbae714",
-    ("components", "G2", "markdown"):
-        "95e1f4c071d68d6e0aed331623dc41a8fd7826c16943caa2bd192c564708a238",
-    ("components", "G2", "csv"):
-        "05feb4dfaf3617f8473c321435cac7cd95129001b5848d4fcd537c309588363d",
-    ("components", "G2", "json"):
-        "58ac64792d8532c6715367b074deb1683059a0bd570dcb37d0a846221c3c091e",
-    ("components", "D4", "markdown"):
-        "5404cba3c74811222eedcafadf7a676b8d667429578c5e24fc84920fc3b94f95",
-    ("components", "D4", "csv"):
-        "f9689e6ee649590ff40bc94899c9874eb6daa2cf7164e7e1f741dbc6fdbe436f",
-    ("components", "D4", "json"):
-        "57c92b8df1183cd88dc9a5a654e823c057f864be748724dd0795fe2e762c1361",
-    ("table", "A2", "markdown"):
-        "f11ebf8556f84e5e460b06d1e47eb11e7d4130ae36b9648087c0d1ebda06111e",
-    ("table", "A2", "csv"):
-        "e01ddcd7b14cc00a4351279c491b2e459a85ed371226dddff08886d3f38cf999",
-    ("table", "A2", "json"):
-        "0912992484265cab199342b4f43fd3b99d8742568e47ed3dfc09eb2790bfa48f",
-    ("table", "B3", "markdown"):
-        "a6ea4c4b36ef2e067072f4b4d87ed658a758c5fcb83e93aba95e269e57cb79b0",
-    ("table", "B3", "csv"):
-        "73b04e53a7753ab8dfda3390c149db38cee23047f75bfa8027a38011388ae9cf",
-    ("table", "B3", "json"):
-        "8cce367cf0b6152063104262338b925347807ec9397daad12bf552e5d847aa9e",
-    ("table", "G2", "markdown"):
-        "dfdf90f1e56a840fb23e4bd8ee80d152d81dc14426c0e9142eb74c8a49b51758",
-    ("table", "G2", "csv"):
-        "c9449dcf00a2e3a84388b9a877a49f51c31d81f835e7a379c6f4711a12b193ef",
-    ("table", "G2", "json"):
-        "5b3c9d6890ee4de07c07d916cf3d4c13eb41d79d94ff08b597200a51989de2af",
-    ("table", "D4", "markdown"):
-        "55856fb31b192d4a9dfaa7949003fa8ed7d67f843cbcc089e64d14f9b09e9d32",
-    ("table", "D4", "csv"):
-        "f78b0aa6e3bba1ac3d9fe55047ec03cc917e32b220e6ca59d1cd966c9aaf27bf",
-    ("table", "D4", "json"):
-        "e7d22798e81f56ce8146ac1e940aa1dfaaf7caea2228824b31f5b87c6defd9a3",
-    ("verify", "A2", "markdown"):
-        "ff2ae4a5a0e30575b3bed9f5bccd3e7f8032545419a63c1b8a91b5ca13375004",
-    ("verify", "A2", "csv"):
-        "68f02cb4ea56fd342ba48672906e69b8932282523f51211281de0c193e6e83eb",
-    ("verify", "A2", "json"):
-        "ddf781cfe27c196f42e7778b2d6bf6895228068d40878d89082f2eb5c068b63e",
-    ("verify", "B3", "markdown"):
-        "9108f706d5049582e8d2a01e615859a9f52edfe5a6ed8563c6a8b626579d39e5",
-    ("verify", "B3", "csv"):
-        "51035d299b2301e6d60a7db169bbd2796fd757191343257837f6a9f39581b1af",
-    ("verify", "B3", "json"):
-        "e62e2857db95a63035b52dcb08b08e79bcf3c26d61e9945484f900ad120e2842",
-    ("verify", "G2", "markdown"):
-        "d21db216d360b25181be08b33332785432ae903ccaf012b80d1ab824e7e23be6",
-    ("verify", "G2", "csv"):
-        "849a5db677fe059d2b9e15e11710dfeddef3c1462afbe6649559b99c922879f7",
-    ("verify", "G2", "json"):
-        "8e1efeb53f23eac92586831d9900347e50210c5d23ce07d52eb00cdb2d6d5297",
-    ("verify", "D4", "markdown"):
-        "a2cd9b881bdab3a5a5891cccc49f3595e85ecaee124f3d008969de35b77b243f",
-    ("verify", "D4", "csv"):
-        "8a1de6a549b9e2ada2f4b4bdcb12774fd2fc329989612be809d4363f4e8f843d",
-    ("verify", "D4", "json"):
-        "a8f561048759c55daae382f9ba74d65a4f9a23803584e6947b26823395ba787a",
+# the frozen corpus and Hotta entries of the manifest keep the test ids they
+# had before it; every other entry's test id is its command line
+CORPUS = {
+    f"{command}-{name}-{fmt}": f"{command} --type {name} --all-pairs --format {fmt}"
+    for command, names in [("table", "A2 B3 G2 D4"), ("verify", "A2 B3 G2 D4"),
+                           ("components", "A2 B3 G2 D4 B4 F4")]
+    for name in names.split() for fmt in ("markdown", "csv", "json")
 }
+CORPUS |= {f"components-cartan-A1xA2-{fmt}":
+           f"components --cartan a1xa2.json --p 0 --q 1,2 --format {fmt}"
+           for fmt in ("csv", "json")}
+HOTTA = {name: f"verify --type {name} --hotta --format json" for name in ("B2", "G2", "B3", "D4")}
 
 
-# corpus names read from a --cartan file: matrix and pair selection; the
-# reducible A1xA2 with K = {1, 2} puts a quoted "1,2" cell in the csv
-CARTAN_CORPUS = {
-    "cartan-A1xA2": ([[2, 0, 0], [0, 2, -1], [0, -1, 2]], ["--p", "0", "--q", "1,2"]),
-}
+def check_bytes(tmp_path, monkeypatch, line):
+    """Run one manifest command line in-process, its stdout hashed as it is written."""
+    for name, matrix in CARTAN.items():
+        (tmp_path / name).write_text(json.dumps({"matrix": matrix}))
+    monkeypatch.chdir(tmp_path)
+    sink, err = Sink(), io.StringIO()
+    monkeypatch.setattr(sys, "stdout", sink)
+    with redirect_stderr(err):
+        code = cli.main(shlex.split(line))
+    assert (code, err.getvalue(), sink.digest.hexdigest()) == (0, "", SHA256[line]), line
 
 
-@pytest.mark.parametrize("command,name,fmt", sorted(CORPUS_SHA256))
-def test_cli_bytes_frozen_corpus(tmp_path, capsys, command, name, fmt):
-    if name in CARTAN_CORPUS:
-        matrix, selection = CARTAN_CORPUS[name]
-        path = tmp_path / "cartan.json"
-        path.write_text(json.dumps({"matrix": matrix}))
-        source = ["--cartan", str(path), *selection]
-    else:
-        source = ["--type", name, "--all-pairs"]
-    code, out, err = run(capsys, [command, *source, "--format", fmt])
-    assert code == 0 and err == ""
-    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-    assert digest == CORPUS_SHA256[command, name, fmt]
+@pytest.mark.parametrize("line", CORPUS.values(), ids=list(CORPUS))
+def test_cli_bytes_frozen_corpus(tmp_path, monkeypatch, line):
+    check_bytes(tmp_path, monkeypatch, line)
 
 
-# stdout sha256 of verify --hotta --format json, recorded before the Hotta
-# check formed v·δ_s through multiply; the corpus above runs --all-pairs,
-# which makes no Hotta report, so these pin its witness and its detail
-HOTTA_SHA256 = {
-    "B2": "4c492b95bd8b68c771f67f811a5986422ae1f3a537cc6e8d11ee84de893b950d",
-    "G2": "e644474f40542129a8f6a0c03c5e596a2b40ff2950ae318b1c21b5b846e440da",
-    "B3": "9c1edadd63d28549def04da11fecb430aae3b271574e5e73e8ff5f0a7bd8c322",
-    "D4": "9683f0c18760aefd02794e3019bd3fc15385eb3006ed060287c24f08fb341eb0",
-}
+@pytest.mark.parametrize("line", HOTTA.values(), ids=list(HOTTA))
+def test_cli_bytes_frozen_hotta(tmp_path, monkeypatch, line):
+    check_bytes(tmp_path, monkeypatch, line)
 
 
-@pytest.mark.parametrize("name", sorted(HOTTA_SHA256))
-def test_cli_bytes_frozen_hotta(capsys, name):
-    code, out, err = run(capsys, ["verify", "--type", name, "--hotta", "--format", "json"])
-    assert code == 0 and err == ""
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == HOTTA_SHA256[name]
+@pytest.mark.parametrize(
+    "line", [line for line in SHA256 if line not in {*CORPUS.values(), *HOTTA.values()}], ids=str)
+def test_cli_bytes(tmp_path, monkeypatch, line):
+    check_bytes(tmp_path, monkeypatch, line)
+
+
+def test_cli_bytes_are_all_in_the_manifest():
+    # no digest is checked in CI alone, and no command line is pinned twice
+    workflow = (SRC.parent / ".github/workflows/tests.yml").read_text(encoding="utf-8")
+    assert set(re.findall("[0-9a-fA-F]{64}", workflow)) <= set(SHA256.values())
+    assert len(SHA256) == len(DIGESTS)
 
 
 # A and its transpose have the same Coxeter matrix, so the same Weyl group
